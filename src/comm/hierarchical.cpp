@@ -30,6 +30,18 @@ void count_send(const Topology& topo, int src, int dst, std::size_t doubles) {
       .add(doubles * sizeof(double));
 }
 
+/// Adds `doubles` wire doubles in `msgs` messages to the level of (src, dst).
+void count_traffic(LevelTraffic& t, const Topology& topo, int src, int dst,
+                   std::size_t doubles, std::size_t msgs = 1) {
+  if (topo.same_node(src, dst)) {
+    t.intra_bytes += doubles * sizeof(double);
+    t.intra_messages += msgs;
+  } else {
+    t.inter_bytes += doubles * sizeof(double);
+    t.inter_messages += msgs;
+  }
+}
+
 }  // namespace
 
 std::vector<std::vector<double>> node_multicast_exchange(
@@ -173,56 +185,57 @@ std::vector<std::vector<double>> node_multicast_exchange(
   return incoming;
 }
 
-std::vector<std::vector<double>> hierarchical_all_to_all(
-    Rank& rank, const std::vector<std::vector<double>>& outgoing,
-    const PairSizes& pair_doubles) {
-  const Topology& topo = rank.topology();
-  const int me = rank.id();
-  const int p = rank.size();
-  const int nodes = topo.nodes();
-  LC_CHECK_ARG(static_cast<int>(outgoing.size()) == p,
-               "hierarchical_all_to_all needs one buffer per rank");
-  for (int dst = 0; dst < p; ++dst) {
-    LC_CHECK_ARG(outgoing[static_cast<std::size_t>(dst)].size() ==
-                     pair_doubles(me, dst),
-                 "outgoing buffer size disagrees with the size oracle");
+LevelTraffic all_to_all_traffic(
+    const Topology& topo,
+    const std::vector<std::vector<std::size_t>>& doubles) {
+  LevelTraffic t;
+  for (int src = 0; src < topo.ranks(); ++src) {
+    for (int dst = 0; dst < topo.ranks(); ++dst) {
+      if (dst == src) continue;
+      count_traffic(t, topo, src, dst,
+                    doubles[static_cast<std::size_t>(src)]
+                           [static_cast<std::size_t>(dst)]);
+    }
   }
+  return t;
+}
 
-  // Node bundle = the per-rank buffers for that node's members, rank order.
-  std::vector<std::vector<double>> node_out(static_cast<std::size_t>(nodes));
-  for (int d = 0; d < nodes; ++d) {
-    auto& bundle = node_out[static_cast<std::size_t>(d)];
-    for (const int dst : topo.members(d)) {
-      const auto& b = outgoing[static_cast<std::size_t>(dst)];
-      bundle.insert(bundle.end(), b.begin(), b.end());
-    }
-  }
-  const auto node_sizes = [&](int src, int dst_node) {
-    std::size_t doubles = 0;
-    for (const int dst : topo.members(dst_node)) {
-      doubles += pair_doubles(src, dst);
-    }
-    return doubles;
+LevelTraffic node_multicast_traffic(
+    const Topology& topo,
+    const std::vector<std::vector<std::size_t>>& doubles) {
+  const auto at = [&](int src, int node) {
+    return doubles[static_cast<std::size_t>(src)]
+                  [static_cast<std::size_t>(node)];
   };
-  const auto bundles = node_multicast_exchange(rank, node_out, node_sizes);
-
-  // My slice of each source's bundle sits after the slices of my node-mates
-  // with lower ids.
-  std::vector<std::vector<double>> incoming(static_cast<std::size_t>(p));
-  for (int src = 0; src < p; ++src) {
-    const auto& bundle = bundles[static_cast<std::size_t>(src)];
-    std::size_t offset = 0;
-    for (const int dst : topo.members(topo.node_of(me))) {
-      if (dst == me) break;
-      offset += pair_doubles(src, dst);
+  LevelTraffic t;
+  for (int me = 0; me < topo.ranks(); ++me) {
+    const int my_node = topo.node_of(me);
+    const auto members = topo.members(my_node);
+    const auto peers = members.size() - 1;
+    // Split: own-node multicast, then non-leaders funnel every remote-bound
+    // bundle to the leader in one message.
+    count_traffic(t, topo, me, me, peers * at(me, my_node), peers);
+    if (!topo.is_leader(me)) {
+      std::size_t remote = 0;
+      for (int d = 0; d < topo.nodes(); ++d) {
+        if (d != my_node) remote += at(me, d);
+      }
+      count_traffic(t, topo, me, me, remote);
+      continue;
     }
-    const std::size_t len = pair_doubles(src, me);
-    LC_CHECK(offset + len <= bundle.size(), "bundle framing mismatch");
-    incoming[static_cast<std::size_t>(src)].assign(
-        bundle.begin() + static_cast<std::ptrdiff_t>(offset),
-        bundle.begin() + static_cast<std::ptrdiff_t>(offset + len));
+    for (int d = 0; d < topo.nodes(); ++d) {
+      if (d == my_node) continue;
+      // Inter: one combined message per ordered node pair...
+      std::size_t combined = 0;
+      for (const int q : members) combined += at(q, d);
+      count_traffic(t, topo, me, topo.leader_of(d), combined);
+      // ...intra: forwarded to every local peer.
+      std::size_t inbound = 0;
+      for (const int q : topo.members(d)) inbound += at(q, my_node);
+      count_traffic(t, topo, me, me, peers * inbound, peers);
+    }
   }
-  return incoming;
+  return t;
 }
 
 }  // namespace lc::comm

@@ -14,15 +14,18 @@
 //                   directly between node-mates.
 //
 // Framing carries no metadata: SPMD callers are deterministic, so both
-// sides compute every bundle size from a shared size oracle (the same
-// "octrees are reproducible from (grid, params)" idiom the flat exchange
-// uses). All blocking waits sit in Rank::recv / barrier, so a peer failure
+// sides read every bundle size from a shared size oracle (the pipeline's
+// exchange schedule, built from octrees reproducible from (grid, params)).
+// All blocking waits sit in Rank::recv / barrier, so a peer failure
 // unwinds these collectives with RankAborted exactly like the built-ins.
+// The *_traffic functions at the end replay each collective's message
+// pattern on such a size table, so only this module knows that pattern.
 #pragma once
 
 #include <functional>
 #include <vector>
 
+#include "comm/cost_model.hpp"
 #include "comm/sim_cluster.hpp"
 #include "comm/topology.hpp"
 
@@ -31,10 +34,6 @@ namespace lc::comm {
 /// Doubles rank `src` addresses to node `dst_node`. Must be a pure function
 /// of (src, dst_node) agreed by every rank.
 using NodeBundleSizes = std::function<std::size_t(int src, int dst_node)>;
-
-/// Doubles rank `src` addresses to rank `dst`. Must be a pure function of
-/// (src, dst) agreed by every rank.
-using PairSizes = std::function<std::size_t(int src, int dst)>;
 
 /// Node-multicast personalised exchange: `outgoing[d]` is this rank's
 /// bundle for node d, and EVERY rank of node d receives it (the caller
@@ -47,14 +46,17 @@ using PairSizes = std::function<std::size_t(int src, int dst)>;
     Rank& rank, const std::vector<std::vector<double>>& outgoing,
     const NodeBundleSizes& bundle_doubles);
 
-/// Per-rank personalised all-to-all routed along the topology: a drop-in
-/// for Rank::all_to_all (same inputs, same outputs) that ships each node
-/// pair's traffic in one inter-node message instead of one per rank pair.
-/// Payload bytes on the inter link match the flat exchange (no dedup at
-/// per-rank granularity) but the message count falls from
-/// ranks²-ish to nodes², which is where the α term of Eqn 2 goes to die.
-[[nodiscard]] std::vector<std::vector<double>> hierarchical_all_to_all(
-    Rank& rank, const std::vector<std::vector<double>>& outgoing,
-    const PairSizes& pair_doubles);
+/// Per-level wire traffic of Rank::all_to_all when rank `src` ships
+/// doubles[src][dst] to rank `dst`: one message per ordered rank pair
+/// (empty ones included), self-delivery excluded, classified by node
+/// co-residency.
+[[nodiscard]] LevelTraffic all_to_all_traffic(
+    const Topology& topo, const std::vector<std::vector<std::size_t>>& doubles);
+
+/// Per-level wire traffic of node_multicast_exchange when rank `src`
+/// addresses doubles[src][d] to node d: exactly the messages the split,
+/// inter and intra phases above send, empty ones included.
+[[nodiscard]] LevelTraffic node_multicast_traffic(
+    const Topology& topo, const std::vector<std::vector<std::size_t>>& doubles);
 
 }  // namespace lc::comm

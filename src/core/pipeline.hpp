@@ -3,9 +3,11 @@
 //
 // Single-process form: decompose → locally convolve each sub-domain with
 // compression → accumulate. Distributed form: the same pipeline SPMD over a
-// simulated cluster, where the *only* global exchange is one all-gather of
-// the compressed payloads (compare baseline::DistributedFftConvolution,
-// which needs an all-to-all inside every transform).
+// simulated cluster, where the *only* global exchange is one personalised
+// exchange of the compressed samples, each octree cell sent only to the
+// ranks whose regions it overlaps (compare
+// baseline::DistributedFftConvolution, which needs an all-to-all inside
+// every transform).
 #pragma once
 
 #include <memory>
@@ -110,6 +112,11 @@ enum class ExchangeRoute {
   kFlat,          ///< one message per ordered rank pair (Rank::all_to_all)
   kHierarchical,  ///< node-multicast exchange (comm/hierarchical.hpp)
 };
+
+/// Whether `route` runs the node-multicast exchange on `topo` (kAuto
+/// resolves to it exactly when the topology groups ranks into nodes).
+[[nodiscard]] bool routes_hierarchically(ExchangeRoute route,
+                                         const comm::Topology& topo);
 
 /// Distributed run over a simulated cluster: ranks convolve their assigned
 /// sub-domains locally, then exchange compressed samples in ONE

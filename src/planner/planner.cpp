@@ -62,13 +62,6 @@ int uniform_ranks_per_node(const comm::Topology& topo) {
   return topo.ranks() / topo.nodes();
 }
 
-bool routes_hierarchically(core::ExchangeRoute route,
-                           const comm::Topology& topo) {
-  if (route == core::ExchangeRoute::kFlat) return false;
-  if (route == core::ExchangeRoute::kHierarchical) return true;
-  return !topo.is_flat();
-}
-
 /// Largest batch (halving from the recommended size, floor 128) whose
 /// pipeline fits the device. Batch only trades throughput for pencil-stage
 /// bytes, so shrinking it never changes the numerics.
@@ -136,7 +129,7 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
                    static_cast<double>(comm::codec_cell_header_bytes(p.wire)));
   const int g = uniform_ranks_per_node(req.topology);
   comm::LevelTraffic traffic;
-  if (routes_hierarchically(c.route, req.topology) &&
+  if (core::routes_hierarchically(c.route, req.topology) &&
       req.ranks % std::max(g, 1) == 0) {
     // Node-granularity packing dedups cells shared across a node's ranks.
     // Banded trees tile cells one-per-sub-domain (no sharing, PR-6

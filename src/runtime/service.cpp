@@ -645,7 +645,8 @@ void ConvolutionService::run_wave(Wave& wave) {
     result.output = std::move(*out);
     for (const auto& c : job->contributions) {
       result.compressed_samples += c.samples().size();
-      result.exchanged_bytes += c.sample_bytes();
+      result.exchanged_bytes +=
+          c.encoded_sample_bytes(job->request.params.wire);
     }
     result.compression_ratio =
         static_cast<double>(job->contributions.size()) *

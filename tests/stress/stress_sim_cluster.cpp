@@ -196,31 +196,33 @@ TEST(SimClusterStress, HierarchicalExchangeAbortUnwindsAllRoles) {
 }
 
 TEST(SimClusterStress, HierarchicalAllToAllSurvivesRepeatedRuns) {
-  // Back-to-back composed all-to-alls with per-iteration payloads: any
+  // Back-to-back node-multicast exchanges with per-iteration payloads: any
   // channel bleed between iterations (stale bundle left behind by the
   // leader forwarding loop) shows up as a wrong value immediately.
   const Topology topo = Topology::grouped(8, 4);
   const int p = topo.ranks();
+  const int nodes = topo.nodes();
   SimCluster cluster(topo);
   const std::size_t iters = stress_iters(40);
-  const auto len = [p](int src, int dst) {
-    return static_cast<std::size_t>((src + dst) % 3 + 1);
+  const auto len = [](int src, int dst_node) {
+    return static_cast<std::size_t>((src + dst_node) % 3 + 1);
   };
   cluster.run([&](Rank& rank) {
+    const int my_node = topo.node_of(rank.id());
     for (std::size_t it = 0; it < iters; ++it) {
-      std::vector<std::vector<double>> outgoing(static_cast<std::size_t>(p));
-      for (int d = 0; d < p; ++d) {
+      std::vector<std::vector<double>> outgoing(
+          static_cast<std::size_t>(nodes));
+      for (int d = 0; d < nodes; ++d) {
         outgoing[static_cast<std::size_t>(d)].assign(
             len(rank.id(), d),
             static_cast<double>(it * 10000 + rank.id() * 100 + d));
       }
-      const auto incoming = hierarchical_all_to_all(rank, outgoing, len);
+      const auto incoming = node_multicast_exchange(rank, outgoing, len);
       for (int s = 0; s < p; ++s) {
         const auto& b = incoming[static_cast<std::size_t>(s)];
-        ASSERT_EQ(b.size(), len(s, rank.id()));
+        ASSERT_EQ(b.size(), len(s, my_node));
         for (const double v : b) {
-          ASSERT_EQ(v,
-                    static_cast<double>(it * 10000 + s * 100 + rank.id()));
+          ASSERT_EQ(v, static_cast<double>(it * 10000 + s * 100 + my_node));
         }
       }
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "comm/cost_model.hpp"
@@ -131,32 +132,6 @@ TEST(HierarchicalComm, FlatTopologyDegeneratesToPersonalisedExchange) {
   EXPECT_EQ(cluster.stats().messages.load(),
             static_cast<std::size_t>(p * (p - 1)));
   EXPECT_EQ(cluster.stats().intra_bytes_sent.load(), 0u);
-}
-
-TEST(HierarchicalComm, AllToAllMatchesBuiltinExactly) {
-  const Topology topo = Topology::grouped(6, 3);
-  const int p = topo.ranks();
-  const auto pair_len = [p](int src, int dst) {
-    return static_cast<std::size_t>((src * p + dst) % 5 + 1);
-  };
-  SimCluster cluster(topo);
-  cluster.run([&](Rank& rank) {
-    const int me = rank.id();
-    std::vector<std::vector<double>> outgoing(static_cast<std::size_t>(p));
-    for (int d = 0; d < p; ++d) {
-      auto& b = outgoing[static_cast<std::size_t>(d)];
-      b.resize(pair_len(me, d));
-      for (std::size_t j = 0; j < b.size(); ++j) {
-        b[j] = bundle_value(me, d, j);
-      }
-    }
-    const auto via_hier = hierarchical_all_to_all(rank, outgoing, pair_len);
-    const auto via_flat = rank.all_to_all(outgoing);
-    ASSERT_EQ(via_hier.size(), via_flat.size());
-    for (std::size_t s = 0; s < via_flat.size(); ++s) {
-      EXPECT_EQ(via_hier[s], via_flat[s]) << "source " << s;
-    }
-  });
 }
 
 TEST(HierarchicalComm, PerLevelByteAccountingIsExact) {
@@ -353,7 +328,14 @@ TEST_F(LowCommPipelineHierarchical, GroupedRouteCutsInterNodeBytes) {
 // Wire-codec behaviour of the full distributed pipeline (DESIGN.md §17):
 // route equivalence, static-mirror byte-exactness, and run-to-run
 // determinism must all hold under every codec, not just fp64 passthrough.
-class LowCommPipelineWire : public LowCommPipelineHierarchical {};
+class LowCommPipelineWire : public LowCommPipelineHierarchical {
+ protected:
+  // Route-equivalence shapes: even nodes, remainder ranks on the last node
+  // (2 + 2 + 1), a single node holding every rank, and one rank per node.
+  inline static const Topology kRouteTopologies[] = {
+      Topology::grouped(4, 2), Topology::grouped(5, 2),
+      Topology::grouped(4, 4), Topology::grouped(4, 1)};
+};
 
 TEST_F(LowCommPipelineWire, FlatAndHierarchicalBitIdenticalUnderEveryCodec) {
   // Encoding is pure per cell and every contribution (own and remote) is
@@ -362,22 +344,25 @@ TEST_F(LowCommPipelineWire, FlatAndHierarchicalBitIdenticalUnderEveryCodec) {
   const Grid3 g = Grid3::cube(32);
   const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
   const RealField input = random_field(g, 21);
-  const Topology topo = Topology::grouped(4, 2);
 
-  for (const WireCodec codec : kAllWireCodecs) {
-    auto p = params(16, 2);
-    p.wire = codec;
-    SimCluster flat_cluster(topo);
-    const RealField flat = core::distributed_lowcomm_convolve(
-        flat_cluster, input, g, kernel, p, core::ExchangeRoute::kFlat);
-    SimCluster hier_cluster(topo);
-    const RealField hier = core::distributed_lowcomm_convolve(
-        hier_cluster, input, g, kernel, p, core::ExchangeRoute::kHierarchical);
-    const auto fs = flat.span();
-    const auto hs = hier.span();
-    ASSERT_EQ(fs.size(), hs.size());
-    for (std::size_t i = 0; i < fs.size(); ++i) {
-      ASSERT_EQ(fs[i], hs[i]) << codec_name(codec) << " at " << i;
+  for (const Topology& topo : kRouteTopologies) {
+    for (const WireCodec codec : kAllWireCodecs) {
+      auto p = params(16, 2);
+      p.wire = codec;
+      SimCluster flat_cluster(topo);
+      const RealField flat = core::distributed_lowcomm_convolve(
+          flat_cluster, input, g, kernel, p, core::ExchangeRoute::kFlat);
+      SimCluster hier_cluster(topo);
+      const RealField hier = core::distributed_lowcomm_convolve(
+          hier_cluster, input, g, kernel, p,
+          core::ExchangeRoute::kHierarchical);
+      const auto fs = flat.span();
+      const auto hs = hier.span();
+      ASSERT_EQ(fs.size(), hs.size());
+      for (std::size_t i = 0; i < fs.size(); ++i) {
+        ASSERT_EQ(fs[i], hs[i]) << topo.ranks() << "x" << topo.nodes() << " "
+                                << codec_name(codec) << " at " << i;
+      }
     }
   }
 }
@@ -389,24 +374,28 @@ TEST_F(LowCommPipelineWire, StaticMirrorMatchesExecutedStatsUnderEveryCodec) {
   const Grid3 g = Grid3::cube(32);
   const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
   const RealField input = random_field(g, 22);
-  const Topology topo = Topology::grouped(4, 2);
 
-  for (const WireCodec codec : kAllWireCodecs) {
-    auto p = params(16, 2);
-    p.wire = codec;
-    const core::LowCommConvolution engine(g, kernel, p);
-    for (const auto route :
-         {core::ExchangeRoute::kFlat, core::ExchangeRoute::kHierarchical}) {
-      SimCluster cluster(topo);
-      (void)core::distributed_lowcomm_convolve(cluster, input, g, kernel, p,
-                                               route);
-      const comm::LevelTraffic want =
-          core::lowcomm_exchange_traffic(engine, topo, route);
-      const comm::LevelTraffic got = cluster.stats().level_traffic();
-      EXPECT_EQ(got.intra_bytes, want.intra_bytes) << codec_name(codec);
-      EXPECT_EQ(got.inter_bytes, want.inter_bytes) << codec_name(codec);
-      EXPECT_EQ(got.intra_messages, want.intra_messages) << codec_name(codec);
-      EXPECT_EQ(got.inter_messages, want.inter_messages) << codec_name(codec);
+  for (const Topology& topo : kRouteTopologies) {
+    for (const WireCodec codec : kAllWireCodecs) {
+      auto p = params(16, 2);
+      p.wire = codec;
+      const core::LowCommConvolution engine(g, kernel, p);
+      for (const auto route :
+           {core::ExchangeRoute::kFlat, core::ExchangeRoute::kHierarchical}) {
+        SimCluster cluster(topo);
+        (void)core::distributed_lowcomm_convolve(cluster, input, g, kernel, p,
+                                                 route);
+        const comm::LevelTraffic want =
+            core::lowcomm_exchange_traffic(engine, topo, route);
+        const comm::LevelTraffic got = cluster.stats().level_traffic();
+        const std::string where = std::to_string(topo.ranks()) + "x" +
+                                  std::to_string(topo.nodes()) + " " +
+                                  codec_name(codec);
+        EXPECT_EQ(got.intra_bytes, want.intra_bytes) << where;
+        EXPECT_EQ(got.inter_bytes, want.inter_bytes) << where;
+        EXPECT_EQ(got.intra_messages, want.intra_messages) << where;
+        EXPECT_EQ(got.inter_messages, want.inter_messages) << where;
+      }
     }
   }
 }

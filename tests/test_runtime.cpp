@@ -295,6 +295,26 @@ TEST(ConvolutionService, MatchesDirectEngineAndHitsResultCache) {
   EXPECT_GE(stats.waves, 1u);
 }
 
+TEST(ConvolutionService, ReportsCodecPricedBytesLikeTheEngine) {
+  // exchanged_bytes is priced under the request's wire codec on both
+  // paths: a whole-field service response must report what the engine does.
+  const Grid3 g = Grid3::cube(32);
+  ConvolutionService service;
+  auto req = small_request(g);
+  req.params.wire = comm::WireCodec::kQ16;
+  core::LocalConvolverConfig cfg;
+  cfg.batch = req.params.batch;
+  cfg.pool = nullptr;
+  const core::LowCommConvolution direct(g, req.kernel, req.params, cfg);
+  const core::LowCommResult expected = direct.convolve(req.input);
+
+  const ConvolutionResponse got = service.run(std::move(req));
+  EXPECT_EQ(got.result.compressed_samples, expected.compressed_samples);
+  EXPECT_EQ(got.result.exchanged_bytes, expected.exchanged_bytes);
+  EXPECT_LT(got.result.exchanged_bytes,
+            got.result.compressed_samples * sizeof(double));
+}
+
 TEST(ConvolutionService, EngineCacheHitWithoutResultCache) {
   const Grid3 g = Grid3::cube(32);
   ServiceConfig cfg;
