@@ -3,8 +3,9 @@
 //
 // Modes:
 //   (default)      google-benchmark suite
-//   --json-probe   deterministic scalar/rows reconstruction timings written
-//                  to BENCH_sampling_micro.json for the CI perf gate
+//   --json-probe   deterministic scalar/rows reconstruction timings and the
+//                  accumulate_region ceiling, written to
+//                  BENCH_sampling_micro.json for the CI perf gate
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "core/accumulator.hpp"
+#include "core/decomposition.hpp"
 #include "sampling/compressed_field.hpp"
 #include "sampling/octree.hpp"
 
@@ -181,6 +184,36 @@ int run_json_probe() {
     std::printf("%-22s rows/scalar speedup: %.2fx\n", cs.name,
                 rows_rate / scalar_rate);
   }
+
+  // Accumulate ceiling: one owned 32³ box of the conv-flat shape (N=128,
+  // k=32, far rate 8, dense halo 2, no boundary shell) summing all 64
+  // sub-domain contributions. "batch" is the contribution count; items are
+  // (point, contribution) pairs.
+  {
+    const i64 k = 32;
+    const core::DomainDecomposition decomp(g, k);
+    const SamplingPolicy policy = SamplingPolicy::paper_default(k, 8, 0, 2);
+    std::vector<CompressedField> contributions;
+    for (std::size_t d = 0; d < decomp.count(); ++d) {
+      contributions.push_back(CompressedField::compress(
+          f, std::make_shared<Octree>(g, decomp.subdomain(d), policy)));
+    }
+    const Box3 box = Box3::cube_at({32, 32, 32}, k);
+    const std::size_t items = box.volume() * contributions.size();
+    const double rate = probe_mitems(
+        [&] {
+          const RealField tile = core::accumulate_region(contributions, box);
+          benchmark::DoNotOptimize(tile.data());
+        },
+        items);
+    char num[32];
+    std::snprintf(num, sizeof(num), "%.1f", rate);
+    json.row({"accumulate_region", std::to_string(n),
+              std::to_string(contributions.size()), "rows", num, "1"});
+    std::printf("%-22s n=%-4lld %-7s %8.1f Mitems/s\n", "accumulate_region",
+                static_cast<long long>(n), "rows", rate);
+  }
+
   const std::string path = json.write();
   if (path.empty()) {
     std::fprintf(stderr, "failed to write BENCH_sampling_micro.json\n");

@@ -545,38 +545,52 @@ RealField distributed_lowcomm_convolve(
       incoming = rank.all_to_all(outgoing);
     }
 
-    // Rebuild the partial contributions from my lane's bundles. Cells not
-    // received stay zero, and on the hierarchical route cells only my
-    // node-mates need are copied too; accumulation over my regions reads
-    // neither.
+    // Stream my lane's cells from every source straight into the
+    // accumulator of each owned box the cell overlaps, in (source,
+    // sub-domain, cell) order — the order accumulate_region sees the same
+    // cells in. Each cell is decoded once into one reused scratch row; on
+    // the hierarchical route, cells only my node-mates need are decoded
+    // (to advance the stream) and dropped.
     LC_TRACE("exchange.unpack_accumulate");
-    std::vector<sampling::CompressedField> contributions;
-    contributions.reserve(decomp.count());
+    std::vector<Accumulator> accumulators;
+    accumulators.reserve(mine.size());
+    for (const std::size_t d : mine) {
+      accumulators.emplace_back(decomp.subdomain(d), params.interpolation);
+    }
+    AlignedVector<double> scratch;
     for (int src = 0; src < workers; ++src) {
       comm::WireDecoder dec(params.wire,
                             incoming[static_cast<std::size_t>(src)]);
       for (const std::size_t d : sched.owned[static_cast<std::size_t>(src)]) {
-        sampling::CompressedField c(sched.trees[d]);
-        auto payload = c.samples();
-        const auto cells = c.octree().cells();
+        const auto cells = sched.trees[d]->cells();
         for (std::size_t ci = 0; ci < cells.size(); ++ci) {
           if (!sched.masks[d].needed(ci, my_lane)) continue;
-          dec.read_cell(payload.subspan(cells[ci].sample_offset,
-                                        cells[ci].sample_count()));
+          const sampling::OctreeCell& cell = cells[ci];
+          if (scratch.size() < cell.sample_count()) {
+            scratch.resize(cell.sample_count());
+          }
+          const std::span<double> samples(scratch.data(), cell.sample_count());
+          dec.read_cell(samples);
+          for (Accumulator& acc : accumulators) acc.add_cell(cell, samples);
         }
-        contributions.push_back(std::move(c));
       }
       dec.finish();
     }
 
-    // Accumulate the regions this rank owns; stitch into the shared result
-    // (simulating the distributed output staying in place).
-    for (const std::size_t d : mine) {
-      const Box3& box = decomp.subdomain(d);
-      const RealField tile =
-          accumulate_region(contributions, box, params.interpolation);
+    // Finish the regions this rank owns (one interpolation per touched
+    // cube and rate); stitch into the shared result (simulating the
+    // distributed output staying in place).
+    static obs::Histogram& region_seconds =
+        obs::Registry::global().histogram("accumulate.region_seconds");
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      RealField tile;
+      {
+        LC_TRACE("accumulate.region");
+        ScopedTimer region_timer(region_seconds);
+        tile = accumulators[i].finish();
+      }
       std::lock_guard lock(assemble_mutex);
-      assembled.insert(tile, box.lo);
+      assembled.insert(tile, decomp.subdomain(mine[i]).lo);
     }
     if (telemetry) {
       const std::size_t peak = rank_device.peak_bytes();

@@ -52,12 +52,11 @@ CompressedField CompressedField::compress(const RealField& full,
   return out;
 }
 
-double CompressedField::interpolate_in_cell(const OctreeCell& cell,
-                                            std::span<const double> payload,
-                                            const Index3& p,
-                                            Interpolation interp) {
-  const std::span<const double> s =
-      payload.subspan(cell.sample_offset, cell.sample_count());
+namespace {
+
+/// Interpolated value at grid point p of `cell`, whose own samples are `s`.
+double interpolate_in_cell(const OctreeCell& cell, std::span<const double> s,
+                           const Index3& p, Interpolation interp) {
   if (cell.rate == 1) {  // dense cell: exact lookup
     return s[cell.sample_index(p.x - cell.corner.x, p.y - cell.corner.y,
                                p.z - cell.corner.z)];
@@ -123,15 +122,8 @@ double CompressedField::interpolate_in_cell(const OctreeCell& cell,
   return acc;
 }
 
-double CompressedField::value_at(const Index3& p, Interpolation interp) const {
-  const OctreeCell& cell = tree_->cell_containing(p);
-  return interpolate_in_cell(cell, samples(), p, interp);
-}
-
-namespace {
-
 /// Dense (rate-1) cell: the stored lattice IS the grid — add rows directly.
-void add_dense_cell(const OctreeCell& c, std::span<const double> payload,
+void add_dense_cell(const OctreeCell& c, const double* s,
                     std::span<double> out, const Box3& region,
                     const Box3& overlap) {
   const Grid3 rext = region.extents();
@@ -141,9 +133,9 @@ void add_dense_cell(const OctreeCell& c, std::span<const double> payload,
     const i64 iz = z - c.corner.z;
     for (i64 y = overlap.lo.y; y < overlap.hi.y; ++y) {
       const i64 iy = y - c.corner.y;
-      const double* src = payload.data() + c.sample_offset +
-                          static_cast<std::size_t>((iz * e + iy) * e +
-                                                   (overlap.lo.x - c.corner.x));
+      const double* src =
+          s + static_cast<std::size_t>((iz * e + iy) * e +
+                                       (overlap.lo.x - c.corner.x));
       double* dst = out.data() +
                     rext.index(overlap.lo.x - region.lo.x, y - region.lo.y,
                                z - region.lo.z);
@@ -152,34 +144,37 @@ void add_dense_cell(const OctreeCell& c, std::span<const double> payload,
   }
 }
 
-/// Single-interval coarse cell (samples_per_edge == 2, i.e. side == rate):
-/// no axis ever has interior cubic support, so both interpolation orders
-/// reduce to trilinear from the cell's 8 corner samples. Evaluated directly
-/// — the paper-default octree fragments band boundaries into thousands of
-/// such cells, where the general table machinery costs more than the cell.
-void add_corner_cell(const OctreeCell& c, std::span<const double> payload,
-                     std::span<double> out, const Box3& region,
-                     const Box3& overlap, AlignedVector<double>& xfrac) {
+}  // namespace
+
+double CompressedField::value_at(const Index3& p, Interpolation interp) const {
+  const OctreeCell& cell = tree_->cell_containing(p);
+  return interpolate_in_cell(
+      cell, samples().subspan(cell.sample_offset, cell.sample_count()), p,
+      interp);
+}
+
+void add_cube_trilinear(const double* s, const Index3& corner, i64 rate,
+                        std::span<double> out, const Box3& region,
+                        const Box3& overlap, AlignedVector<double>& xfrac) {
   const Grid3 rext = region.extents();
-  const double inv_r = 1.0 / static_cast<double>(c.rate);
-  const double* s = payload.data() + c.sample_offset;
+  const double inv_r = 1.0 / static_cast<double>(rate);
   const auto xlen = static_cast<std::size_t>(overlap.hi.x - overlap.lo.x);
   // Fractional x positions of the overlap columns, shared by every row.
   if (xfrac.size() < xlen) xfrac.resize(xlen);
   for (std::size_t i = 0; i < xlen; ++i) {
-    xfrac[i] = static_cast<double>(overlap.lo.x + static_cast<i64>(i) -
-                                   c.corner.x) *
-               inv_r;
+    xfrac[i] =
+        static_cast<double>(overlap.lo.x + static_cast<i64>(i) - corner.x) *
+        inv_r;
   }
   for (i64 z = overlap.lo.z; z < overlap.hi.z; ++z) {
-    const double fz = static_cast<double>(z - c.corner.z) * inv_r;
+    const double fz = static_cast<double>(z - corner.z) * inv_r;
     // Blend the two corner planes along z: a<x><y>.
     const double a00 = s[0] + (s[4] - s[0]) * fz;
     const double a10 = s[1] + (s[5] - s[1]) * fz;
     const double a01 = s[2] + (s[6] - s[2]) * fz;
     const double a11 = s[3] + (s[7] - s[3]) * fz;
     for (i64 y = overlap.lo.y; y < overlap.hi.y; ++y) {
-      const double fy = static_cast<double>(y - c.corner.y) * inv_r;
+      const double fy = static_cast<double>(y - corner.y) * inv_r;
       const double c0 = a00 + (a01 - a00) * fy;
       const double c1 = a10 + (a11 - a10) * fy;
       double* dst = out.data() +
@@ -190,7 +185,111 @@ void add_corner_cell(const OctreeCell& c, std::span<const double> payload,
   }
 }
 
-}  // namespace
+void CellReconstructor::add_rows(const OctreeCell& c,
+                                 std::span<const double> samples,
+                                 std::span<double> out, const Box3& region) {
+  const Box3 overlap = c.box().intersect(region);
+  if (overlap.empty()) return;
+  const double* s = samples.data();
+  if (c.rate == 1) {
+    add_dense_cell(c, s, out, region, overlap);
+    return;
+  }
+  const i64 e = c.samples_per_edge();
+  if (e == 2) {
+    // Single-interval cell (side == rate): no axis ever has interior cubic
+    // support, so both orders reduce to trilinear from the 8 corner
+    // samples — the paper-default octree fragments band boundaries into
+    // thousands of such cells, where the general tables cost more than
+    // the cell.
+    add_cube_trilinear(s, c.corner, c.rate, out, region, overlap, xfrac_);
+    return;
+  }
+
+  const bool cubic = interp_ == Interpolation::kTricubic;
+  const Grid3 rext = region.extents();
+  xt_.build(overlap.lo.x, overlap.hi.x, c.corner.x, c.rate, e, cubic);
+  yt_.build(overlap.lo.y, overlap.hi.y, c.corner.y, c.rate, e, cubic);
+  zt_.build(overlap.lo.z, overlap.hi.z, c.corner.z, c.rate, e, cubic);
+  if (crow_.size() < static_cast<std::size_t>(e) + 3) {
+    crow_.assign(static_cast<std::size_t>(e) + 3, 0.0);
+  }
+  double* crow_p = crow_.data() + 1;
+  const auto ue = static_cast<std::size_t>(e);
+  const auto xlen = static_cast<std::size_t>(overlap.hi.x - overlap.lo.x);
+
+  for (i64 z = overlap.lo.z; z < overlap.hi.z; ++z) {
+    const auto zi = static_cast<std::size_t>(z - overlap.lo.z);
+    const i64 bz = zt_.base[zi];
+    for (i64 y = overlap.lo.y; y < overlap.hi.y; ++y) {
+      const auto yi = static_cast<std::size_t>(y - overlap.lo.y);
+      const i64 by = yt_.base[yi];
+
+      // Collapse the y/z stencil: crow[ix] = Σ wz·wy · s[ix, iy, iz].
+      bool first = true;
+      for (int dz = 0; dz < 4; ++dz) {
+        const double wzv = zt_.w[dz][zi];
+        if (wzv == 0.0) continue;
+        const i64 iz = bz - 1 + dz;
+        for (int dy = 0; dy < 4; ++dy) {
+          const double wyz = yt_.w[dy][yi] * wzv;
+          if (wyz == 0.0) continue;
+          const i64 iy = by - 1 + dy;
+          const double* srow = s + static_cast<std::size_t>((iz * e + iy) * e);
+          if (first) {
+            simd::row_scale(crow_p, srow, wyz, ue);
+            first = false;
+          } else {
+            simd::row_axpy(crow_p, srow, wyz, ue);
+          }
+        }
+      }
+
+      // Evaluate the whole x-row: coordinates sharing a base sample form
+      // runs of up to `rate` points — broadcast the 4 stencil values once
+      // per run and sweep the per-point weight lanes with SIMD.
+      double* orow = out.data() +
+                     rext.index(overlap.lo.x - region.lo.x, y - region.lo.y,
+                                z - region.lo.z);
+      std::size_t i = 0;
+      while (i < xlen) {
+        const std::int32_t b = xt_.base[i];
+        std::size_t j = i + 1;
+        while (j < xlen && xt_.base[j] == b) ++j;
+        if (cubic) {
+          simd::row_weighted4_add(orow + i, xt_.w[0].data() + i,
+                                  xt_.w[1].data() + i, xt_.w[2].data() + i,
+                                  xt_.w[3].data() + i, crow_p[b - 1],
+                                  crow_p[b], crow_p[b + 1], crow_p[b + 2],
+                                  j - i);
+        } else {
+          // Trilinear taps 0/3 are identically zero along every axis.
+          simd::row_weighted2_add(orow + i, xt_.w[1].data() + i,
+                                  xt_.w[2].data() + i, crow_p[b],
+                                  crow_p[b + 1], j - i);
+        }
+        i = j;
+      }
+    }
+  }
+}
+
+void CellReconstructor::add_scalar(const OctreeCell& c,
+                                   std::span<const double> samples,
+                                   std::span<double> out,
+                                   const Box3& region) const {
+  const Box3 overlap = c.box().intersect(region);
+  if (overlap.empty()) return;
+  if (c.rate == 1) {
+    add_dense_cell(c, samples.data(), out, region, overlap);
+    return;
+  }
+  const Grid3 rext = region.extents();
+  for_each_point(overlap, [&](const Index3& p) {
+    out[rext.index(p.x - region.lo.x, p.y - region.lo.y, p.z - region.lo.z)] +=
+        interpolate_in_cell(c, samples, p, interp_);
+  });
+}
 
 void CompressedField::reconstruct_add_rows(std::span<double> out,
                                            const Box3& region,
@@ -199,98 +298,10 @@ void CompressedField::reconstruct_add_rows(std::span<double> out,
                "output span must tile the region exactly");
   LC_CHECK_ARG(Box3::of(tree_->grid()).contains(region),
                "region outside compressed grid");
-  const auto payload = samples();
-  const Grid3 rext = region.extents();
-  const bool cubic = interp == Interpolation::kTricubic;
-
-  // Scratch reused across cells. `crow` holds one y/z-combined sample row
-  // with one front and two back guard elements so the 4-tap x kernel never
-  // reads out of bounds; guard taps carry exact zero weights, so their
-  // (finite) contents never contribute.
-  detail::AxisTable xt;
-  detail::AxisTable yt;
-  detail::AxisTable zt;
-  AlignedVector<double> crow;
-  AlignedVector<double> xfrac;
-
+  CellReconstructor cells(interp);
   for (const auto& c : tree_->cells()) {
-    const Box3 overlap = c.box().intersect(region);
-    if (overlap.empty()) continue;
-    if (c.rate == 1) {
-      add_dense_cell(c, payload, out, region, overlap);
-      continue;
-    }
-
-    const i64 e = c.samples_per_edge();
-    if (e == 2) {
-      add_corner_cell(c, payload, out, region, overlap, xfrac);
-      continue;
-    }
-    xt.build(overlap.lo.x, overlap.hi.x, c.corner.x, c.rate, e, cubic);
-    yt.build(overlap.lo.y, overlap.hi.y, c.corner.y, c.rate, e, cubic);
-    zt.build(overlap.lo.z, overlap.hi.z, c.corner.z, c.rate, e, cubic);
-    if (crow.size() < static_cast<std::size_t>(e) + 3) {
-      crow.assign(static_cast<std::size_t>(e) + 3, 0.0);
-    }
-    double* crow_p = crow.data() + 1;
-    const double* s = payload.data() + c.sample_offset;
-    const auto ue = static_cast<std::size_t>(e);
-    const auto xlen = static_cast<std::size_t>(overlap.hi.x - overlap.lo.x);
-
-    for (i64 z = overlap.lo.z; z < overlap.hi.z; ++z) {
-      const auto zi = static_cast<std::size_t>(z - overlap.lo.z);
-      const i64 bz = zt.base[zi];
-      for (i64 y = overlap.lo.y; y < overlap.hi.y; ++y) {
-        const auto yi = static_cast<std::size_t>(y - overlap.lo.y);
-        const i64 by = yt.base[yi];
-
-        // Collapse the y/z stencil: crow[ix] = Σ wz·wy · s[ix, iy, iz].
-        bool first = true;
-        for (int dz = 0; dz < 4; ++dz) {
-          const double wzv = zt.w[dz][zi];
-          if (wzv == 0.0) continue;
-          const i64 iz = bz - 1 + dz;
-          for (int dy = 0; dy < 4; ++dy) {
-            const double wyz = yt.w[dy][yi] * wzv;
-            if (wyz == 0.0) continue;
-            const i64 iy = by - 1 + dy;
-            const double* srow = s + static_cast<std::size_t>((iz * e + iy) * e);
-            if (first) {
-              simd::row_scale(crow_p, srow, wyz, ue);
-              first = false;
-            } else {
-              simd::row_axpy(crow_p, srow, wyz, ue);
-            }
-          }
-        }
-
-        // Evaluate the whole x-row: coordinates sharing a base sample form
-        // runs of up to `rate` points — broadcast the 4 stencil values once
-        // per run and sweep the per-point weight lanes with SIMD.
-        double* orow = out.data() +
-                       rext.index(overlap.lo.x - region.lo.x, y - region.lo.y,
-                                  z - region.lo.z);
-        std::size_t i = 0;
-        while (i < xlen) {
-          const std::int32_t b = xt.base[i];
-          std::size_t j = i + 1;
-          while (j < xlen && xt.base[j] == b) ++j;
-          if (cubic) {
-            simd::row_weighted4_add(orow + i, xt.w[0].data() + i,
-                                    xt.w[1].data() + i, xt.w[2].data() + i,
-                                    xt.w[3].data() + i, crow_p[b - 1],
-                                    crow_p[b], crow_p[b + 1], crow_p[b + 2],
-                                    j - i);
-          } else {
-            // Trilinear taps 0/3 are identically zero along every axis.
-            simd::row_weighted2_add(orow + i, xt.w[1].data() + i,
-                                    xt.w[2].data() + i, crow_p[b],
-                                    crow_p[b + 1], j - i);
-          }
-          i = j;
-        }
-      }
-    }
+    cells.add_rows(c, samples().subspan(c.sample_offset, c.sample_count()),
+                   out, region);
   }
 }
 
@@ -301,20 +312,10 @@ void CompressedField::reconstruct_add_scalar(std::span<double> out,
                "output span must tile the region exactly");
   LC_CHECK_ARG(Box3::of(tree_->grid()).contains(region),
                "region outside compressed grid");
-  const auto payload = samples();
-  const Grid3 rext = region.extents();
+  const CellReconstructor cells(interp);
   for (const auto& c : tree_->cells()) {
-    const Box3 overlap = c.box().intersect(region);
-    if (overlap.empty()) continue;
-    if (c.rate == 1) {
-      add_dense_cell(c, payload, out, region, overlap);
-    } else {
-      for_each_point(overlap, [&](const Index3& p) {
-        out[rext.index(p.x - region.lo.x, p.y - region.lo.y,
-                       p.z - region.lo.z)] +=
-            interpolate_in_cell(c, payload, p, interp);
-      });
-    }
+    cells.add_scalar(c, samples().subspan(c.sample_offset, c.sample_count()),
+                     out, region);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "comm/wire_codec.hpp"
 #include "common/aligned.hpp"
 #include "sampling/octree.hpp"
+#include "sampling/row_interp.hpp"
 #include "tensor/field.hpp"
 
 namespace lc::sampling {
@@ -23,6 +24,61 @@ namespace lc::sampling {
 enum class Interpolation {
   kTrilinear,
   kTricubic,
+};
+
+/// Trilinear interpolation over one lattice cube [corner, corner + rate)³
+/// from its 8 corner values s[dx + 2·dy + 4·dz], added into `out` (tight
+/// x-fastest storage of `region`) over `overlap`, a sub-box of the cube.
+/// Each point's value depends only on s and its offset from `corner`, never
+/// on `region` or `overlap`. `xfrac` is caller scratch.
+void add_cube_trilinear(const double* s, const Index3& corner, i64 rate,
+                        std::span<double> out, const Box3& region,
+                        const Box3& overlap, AlignedVector<double>& xfrac);
+
+/// Per-cell reconstruction: adds one octree cell's interpolated values over
+/// its overlap with a region into tight x-fastest storage of that region.
+/// `samples` is the cell's own payload (cell.sample_count() values, laid out
+/// as in CompressedField). Holds the row engine's scratch, reused across
+/// cells; one instance per thread.
+class CellReconstructor {
+ public:
+  explicit CellReconstructor(Interpolation interp) : interp_(interp) {}
+
+  [[nodiscard]] Interpolation interpolation() const noexcept {
+    return interp_;
+  }
+
+  /// The vectorized engine: per-axis weight/index tables built once per
+  /// cell overlap (row_interp.hpp), sample rows combined with SIMD fmadd
+  /// kernels, whole x-rows evaluated per (rate, phase) run.
+  void add_rows(const OctreeCell& cell, std::span<const double> samples,
+                std::span<double> out, const Box3& region);
+
+  /// The scalar per-point reference (one interpolation per grid point).
+  void add_scalar(const OctreeCell& cell, std::span<const double> samples,
+                  std::span<double> out, const Box3& region) const;
+
+  /// add_rows, or add_scalar when the build forces LC_SIMD=off.
+  void add(const OctreeCell& cell, std::span<const double> samples,
+           std::span<double> out, const Box3& region) {
+#if defined(LC_SIMD_SCALAR)
+    add_scalar(cell, samples, out, region);
+#else
+    add_rows(cell, samples, out, region);
+#endif
+  }
+
+ private:
+  Interpolation interp_;
+  // `crow` holds one y/z-combined sample row with one front and two back
+  // guard elements so the 4-tap x kernel never reads out of bounds; guard
+  // taps carry exact zero weights, so their (finite) contents never
+  // contribute.
+  detail::AxisTable xt_;
+  detail::AxisTable yt_;
+  detail::AxisTable zt_;
+  AlignedVector<double> crow_;
+  AlignedVector<double> xfrac_;
 };
 
 /// An adaptively sampled scalar field: shared octree + sample payload.
@@ -88,9 +144,7 @@ class CompressedField {
   void reconstruct_add_into(std::span<double> out, const Box3& region,
                             Interpolation interp) const;
 
-  /// The vectorized engine: per-axis weight/index tables built once per
-  /// cell overlap (row_interp.hpp), sample rows combined with SIMD
-  /// fmadd kernels, whole x-rows evaluated per (rate, phase) run.
+  /// The vectorized engine (CellReconstructor::add_rows over every cell).
   void reconstruct_add_rows(std::span<double> out, const Box3& region,
                             Interpolation interp) const;
 
@@ -106,10 +160,6 @@ class CompressedField {
       Interpolation interp = Interpolation::kTrilinear) const;
 
  private:
-  static double interpolate_in_cell(const OctreeCell& cell,
-                                    std::span<const double> payload,
-                                    const Index3& p, Interpolation interp);
-
   std::shared_ptr<const Octree> tree_;
   AlignedVector<double> samples_;
 };

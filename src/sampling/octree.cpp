@@ -278,4 +278,46 @@ const OctreeCell& Octree::cell_containing(const Index3& p) const {
   throw InternalError("octree cells do not tile the grid at " + p.str());
 }
 
+void Octree::cells_overlapping(const Box3& box,
+                               std::vector<std::size_t>& out) const {
+  out.clear();
+  if (cell_keys_.empty()) {  // non-pow2 decode grid: linear scan
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      if (!cells_[i].box().intersect(box).empty()) out.push_back(i);
+    }
+    return;
+  }
+  collect_overlapping({0, 0, 0}, grid_.nx, 0, cells_.size(), box, out);
+}
+
+void Octree::collect_overlapping(const Index3& corner, i64 side,
+                                 std::size_t a, std::size_t b,
+                                 const Box3& box,
+                                 std::vector<std::size_t>& out) const {
+  const Box3 node = Box3::cube_at(corner, side);
+  if (a == b || node.intersect(box).empty()) return;
+  if (b - a == 1 || box.contains(node)) {
+    for (std::size_t i = a; i < b; ++i) out.push_back(i);
+    return;
+  }
+  // Two or more leaves tile this node, so each lies inside one child
+  // octant; child c = dx + 2·dy + 4·dz owns keys [k0 + c·h³, k0 + (c+1)·h³).
+  const i64 h = side / 2;
+  const std::uint64_t k0 = morton_key(corner, levels_);
+  const auto step = static_cast<std::uint64_t>(h * h * h);
+  std::size_t lo = a;
+  for (std::uint64_t c = 0; c < 8; ++c) {
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(cell_keys_.begin() + static_cast<std::ptrdiff_t>(lo),
+                         cell_keys_.begin() + static_cast<std::ptrdiff_t>(b),
+                         k0 + (c + 1) * step) -
+        cell_keys_.begin());
+    const Index3 child{corner.x + static_cast<i64>(c & 1) * h,
+                       corner.y + static_cast<i64>((c >> 1) & 1) * h,
+                       corner.z + static_cast<i64>(c >> 2) * h};
+    collect_overlapping(child, h, lo, hi, box, out);
+    lo = hi;
+  }
+}
+
 }  // namespace lc::sampling

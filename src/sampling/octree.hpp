@@ -93,6 +93,12 @@ class Octree {
   /// is the predecessor of p's interleaved key in the sorted key array.
   [[nodiscard]] const OctreeCell& cell_containing(const Index3& p) const;
 
+  /// Indices (ascending, i.e. octree order) of the cells whose boxes meet
+  /// `box`, written to `out`. Descends the implicit octant hierarchy over
+  /// the sorted corner keys, so the cost follows the cells found rather
+  /// than the whole tree.
+  void cells_overlapping(const Box3& box, std::vector<std::size_t>& out) const;
+
  private:
   Octree(const Grid3& grid, const Box3& subdomain);  // for decode
   void build(const Index3& corner, i64 side, const SamplingPolicy& policy);
@@ -101,6 +107,11 @@ class Octree {
   /// index behind cell_containing). No-op on non-pow2 grids, where
   /// cell_containing falls back to a linear scan.
   void build_lookup();
+  /// cells_overlapping over the aligned node (corner, side), which the
+  /// cells [a, b) tile in key order.
+  void collect_overlapping(const Index3& corner, i64 side, std::size_t a,
+                           std::size_t b, const Box3& box,
+                           std::vector<std::size_t>& out) const;
 
   Grid3 grid_;
   Box3 subdomain_;

@@ -7,6 +7,9 @@
 // decaying kernels and shrinks as rates shrink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "baseline/dense.hpp"
 #include "common/rng.hpp"
 #include "core/decomposition.hpp"
@@ -559,6 +562,60 @@ TEST(LowCommPipeline, DistributedExchangesOnlyCompressedBytes) {
   EXPECT_LE(cluster.stats().bytes_sent.load(), full_payload_bytes);
 }
 
+// The streamed unpack (each received cell decoded once and handed to the
+// accumulator of every owned box it overlaps) must equal, bit for bit, the
+// public replay: accumulate_region per box over convolve_one fields in
+// (source rank, assigned_to(source)) order — on a flat and on a grouped
+// hierarchical run, with the bit-exact codec.
+TEST(LowCommPipeline, MatchesPublicAccumulateBitwise) {
+  const Grid3 g = Grid3::cube(32);
+  auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+  const RealField input = random_field(g, 27);
+
+  LowCommParams params;
+  params.subdomain = 8;
+  params.far_rate = 8;
+  params.boundary_band = 0;
+  params.batch = 64;
+  params.wire = comm::WireCodec::kOff;
+  LocalConvolverConfig cfg;
+  cfg.batch = params.batch;
+  const LowCommConvolution engine(g, kernel, params, cfg);
+  const auto& decomp = engine.decomposition();
+
+  struct Run {
+    comm::Topology topo;
+    ExchangeRoute route;
+  };
+  for (const Run& run : {Run{comm::Topology::flat(4), ExchangeRoute::kFlat},
+                         Run{comm::Topology::grouped(4, 2),
+                             ExchangeRoute::kHierarchical}}) {
+    const int workers = run.topo.ranks();
+    std::vector<sampling::CompressedField> contributions;
+    for (int src = 0; src < workers; ++src) {
+      for (const std::size_t d : decomp.assigned_to(src, workers)) {
+        contributions.push_back(engine.convolve_one(input, d));
+      }
+    }
+    RealField want(g, 0.0);
+    for (std::size_t d = 0; d < decomp.count(); ++d) {
+      const Box3& box = decomp.subdomain(d);
+      want.insert(accumulate_region(contributions, box, params.interpolation),
+                  box.lo);
+    }
+
+    comm::SimCluster cluster(run.topo);
+    const RealField got = distributed_lowcomm_convolve(cluster, input, g,
+                                                       kernel, params,
+                                                       run.route);
+    ASSERT_EQ(got.span().size(), want.span().size());
+    for (std::size_t i = 0; i < want.span().size(); ++i) {
+      ASSERT_EQ(got.span()[i], want.span()[i])
+          << run.topo.ranks() << "x" << run.topo.nodes() << " at " << i;
+    }
+  }
+}
+
 // --- Hyperparameters --------------------------------------------------------
 
 TEST(Hyperparams, BatchRecommendationClampsAndGrows) {
@@ -637,43 +694,162 @@ TEST(Accumulator, SumsContributions) {
 }
 
 // Slab-parallel accumulation is bit-identical to serial, and accumulating a
-// partition of the grid region by region reproduces one accumulate_full.
+// partition of the grid region by region reproduces one accumulate_full —
+// for both interpolation orders, and for a uniform r=16 policy whose coarse
+// cubes the tile split cuts through (z at 7, y at 13).
 TEST(Accumulator, RegionTilingMatchesFullAndParallelIsBitIdentical) {
   const Grid3 g = Grid3::cube(32);
   const RealField input = random_field(g, 17);
-  std::vector<sampling::CompressedField> contributions;
-  for (const i64 corner : {i64{0}, i64{16}}) {
-    auto tree = std::make_shared<sampling::Octree>(
-        g, Box3::cube_at({corner, corner, corner}, 16),
-        sampling::SamplingPolicy::paper_default(16, 8));
-    contributions.push_back(sampling::CompressedField::compress(input, tree));
-  }
-
-  const RealField serial_full = accumulate_full(contributions, g);
   ThreadPool pool(4);
-  const RealField parallel_full =
-      accumulate_full(contributions, g, sampling::Interpolation::kTrilinear,
-                      &pool);
-  for (std::size_t i = 0; i < serial_full.span().size(); ++i) {
-    ASSERT_EQ(serial_full.span()[i], parallel_full.span()[i]) << i;
-  }
-
-  // Partition the grid into uneven boxes; slab-parallel accumulate_region
-  // over each tile, stitched together, must equal the serial full result.
-  RealField stitched(g, 0.0);
   const std::vector<Box3> tiles = {
       {{0, 0, 0}, {32, 32, 7}},
       {{0, 0, 7}, {32, 13, 32}},
       {{0, 13, 7}, {32, 32, 32}},
   };
-  for (const Box3& tile : tiles) {
-    stitched.insert(accumulate_region(
-                        contributions, tile,
-                        sampling::Interpolation::kTrilinear, &pool),
-                    tile.lo);
+  for (const auto& policy : {sampling::SamplingPolicy::paper_default(16, 8),
+                             sampling::SamplingPolicy::uniform(16)}) {
+    std::vector<sampling::CompressedField> contributions;
+    for (const i64 corner : {i64{0}, i64{16}}) {
+      auto tree = std::make_shared<sampling::Octree>(
+          g, Box3::cube_at({corner, corner, corner}, 16), policy);
+      contributions.push_back(sampling::CompressedField::compress(input, tree));
+    }
+    for (const auto interp : {sampling::Interpolation::kTrilinear,
+                              sampling::Interpolation::kTricubic}) {
+      SCOPED_TRACE("far rate " + std::to_string(policy.far_rate()) +
+                   (interp == sampling::Interpolation::kTricubic
+                        ? " tricubic"
+                        : " trilinear"));
+      const RealField serial_full = accumulate_full(contributions, g, interp);
+      const RealField parallel_full =
+          accumulate_full(contributions, g, interp, &pool);
+      for (std::size_t i = 0; i < serial_full.span().size(); ++i) {
+        ASSERT_EQ(serial_full.span()[i], parallel_full.span()[i]) << i;
+      }
+
+      // Partition the grid into uneven boxes; slab-parallel
+      // accumulate_region over each tile, stitched together, must equal the
+      // serial full result.
+      RealField stitched(g, 0.0);
+      for (const Box3& tile : tiles) {
+        stitched.insert(accumulate_region(contributions, tile, interp, &pool),
+                        tile.lo);
+      }
+      for (std::size_t i = 0; i < serial_full.span().size(); ++i) {
+        ASSERT_EQ(serial_full.span()[i], stitched.span()[i]) << i;
+      }
+
+      // A trilinear point's value does not depend on where its x-row
+      // starts either: split at x = 13, inside a coarse cube. (The
+      // tricubic per-cell row engine sums a row's scalar tail in another
+      // order than its vector lanes, so only y/z splits hold there.)
+      if (interp != sampling::Interpolation::kTrilinear) continue;
+      RealField x_stitched(g, 0.0);
+      for (const Box3& tile : {Box3{{0, 0, 0}, {13, 32, 32}},
+                               Box3{{13, 0, 0}, {32, 32, 32}}}) {
+        x_stitched.insert(accumulate_region(contributions, tile, interp),
+                          tile.lo);
+      }
+      for (std::size_t i = 0; i < serial_full.span().size(); ++i) {
+        ASSERT_EQ(serial_full.span()[i], x_stitched.span()[i]) << i;
+      }
+    }
   }
-  for (std::size_t i = 0; i < serial_full.span().size(); ++i) {
-    ASSERT_EQ(serial_full.span()[i], stitched.span()[i]) << i;
+}
+
+/// Contributions over a 64³ grid covering every coarse-rate shape the
+/// accumulator pre-reduces: banded policies with far rate 8 and 16, uniform
+/// rates 2/4/8/16, dense boundary shells, and sub-domains at the grid top
+/// whose coarse cells wrap their top lattice plane to index 0.
+std::vector<sampling::CompressedField> pre_reduction_contributions(
+    const Grid3& g) {
+  using sampling::SamplingPolicy;
+  const RealField input = random_field(g, 41);
+  struct Source {
+    Index3 corner;
+    i64 k;
+    SamplingPolicy policy;
+  };
+  const std::vector<Source> sources = {
+      {{16, 16, 16}, 8, SamplingPolicy::paper_default(8, 8, 0, 2)},
+      {{56, 56, 56}, 8, SamplingPolicy::paper_default(8, 8, 3, 2)},
+      {{0, 0, 0}, 4, SamplingPolicy::paper_default(4, 16, 2, 1)},
+      {{28, 8, 48}, 4, SamplingPolicy::paper_default(4, 16, 0, 2)},
+      {{8, 40, 24}, 8, SamplingPolicy::uniform(2)},
+      {{32, 32, 32}, 8, SamplingPolicy::uniform(4, 2)},
+      {{48, 0, 16}, 16, SamplingPolicy::uniform(8)},
+      {{48, 48, 48}, 16, SamplingPolicy::uniform(16, 1)},
+      {{0, 32, 0}, 16, SamplingPolicy::uniform(16)},
+  };
+  std::vector<sampling::CompressedField> out;
+  for (const Source& src : sources) {
+    out.push_back(sampling::CompressedField::compress(
+        input, std::make_shared<sampling::Octree>(
+                   g, Box3::cube_at(src.corner, src.k), src.policy)));
+  }
+  return out;
+}
+
+// Property test for cube pre-reduction: summing same-rate corner samples per
+// lattice cube and interpolating once must match the sum of per-field
+// scalar reconstructions to rounding, for both orders and for regions at
+// odd, rate-unaligned offsets.
+TEST(Accumulator, PreReductionMatchesScalarReference) {
+  const Grid3 g = Grid3::cube(64);
+  const auto contributions = pre_reduction_contributions(g);
+  const std::vector<Box3> regions = {
+      Box3::of(g),
+      {{3, 5, 1}, {61, 60, 63}},      // odd offsets: every (rate, phase)
+      {{7, 9, 11}, {21, 30, 64}},     // rate-unaligned, reaches the top
+      {{0, 0, 59}, {64, 64, 64}},     // thin slab under the wrapping plane
+      {{33, 17, 45}, {34, 18, 46}},   // single point
+  };
+  for (std::size_t ri = 0; ri < regions.size(); ++ri) {
+    const Box3& region = regions[ri];
+    for (const auto interp : {sampling::Interpolation::kTrilinear,
+                              sampling::Interpolation::kTricubic}) {
+      std::vector<double> want(region.volume(), 0.0);
+      for (const auto& c : contributions) {
+        c.reconstruct_add_scalar(want, region, interp);
+      }
+      Accumulator acc(region, interp);
+      for (const auto& c : contributions) acc.add(c);
+      const RealField got = acc.finish();
+      ASSERT_EQ(got.grid(), region.extents());
+      double scale = 1.0;
+      for (const double v : want) scale = std::max(scale, std::abs(v));
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_NEAR(got.span()[i], want[i], 1e-12 * scale)
+            << "region " << ri << " interp " << static_cast<int>(interp)
+            << " flat index " << i;
+      }
+    }
+  }
+}
+
+// Feeding a field cell by cell (the streamed exchange path) is the same
+// computation as adding the whole field, bit for bit; cells that miss the
+// region are ignored.
+TEST(Accumulator, CellByCellEqualsWholeField) {
+  const Grid3 g = Grid3::cube(64);
+  const auto contributions = pre_reduction_contributions(g);
+  const Box3 region{{5, 12, 30}, {45, 64, 61}};
+  for (const auto interp : {sampling::Interpolation::kTrilinear,
+                            sampling::Interpolation::kTricubic}) {
+    Accumulator whole(region, interp);
+    Accumulator streamed(region, interp);
+    for (const auto& c : contributions) {
+      whole.add(c);
+      for (const auto& cell : c.octree().cells()) {
+        streamed.add_cell(
+            cell, c.samples().subspan(cell.sample_offset, cell.sample_count()));
+      }
+    }
+    const RealField a = whole.finish();
+    const RealField b = streamed.finish();
+    for (std::size_t i = 0; i < a.span().size(); ++i) {
+      ASSERT_EQ(a.span()[i], b.span()[i]) << static_cast<int>(interp) << " " << i;
+    }
   }
 }
 

@@ -183,6 +183,52 @@ TEST_F(OctreeFixture, RetainedZPlanesIncludeSubdomainDensely) {
             static_cast<std::size_t>(grid_.nz));
 }
 
+/// Reference for Octree::cells_overlapping: every cell whose box meets `box`.
+std::vector<std::size_t> overlapping_by_scan(const Octree& tree,
+                                             const Box3& box) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < tree.cells().size(); ++i) {
+    if (!tree.cells()[i].box().intersect(box).empty()) out.push_back(i);
+  }
+  return out;
+}
+
+TEST(Octree, CellsOverlappingMatchesLinearScan) {
+  const Grid3 g{64, 64, 64};
+  const std::vector<Octree> trees = {
+      Octree(g, Box3::cube_at({16, 16, 16}, 16),
+             SamplingPolicy::paper_default(16, 16, 2)),
+      Octree(g, Box3::cube_at({56, 0, 56}, 8), SamplingPolicy::uniform(8, 1)),
+      Octree(g, Box3::cube_at({0, 0, 0}, 64), SamplingPolicy::uniform(4)),
+  };
+  const std::vector<Box3> boxes = {
+      Box3::of(g),
+      Box3::cube_at({16, 16, 16}, 16),
+      {{3, 5, 7}, {40, 41, 63}},
+      {{63, 63, 63}, {64, 64, 64}},
+      {{10, 10, 10}, {10, 20, 20}},  // empty
+  };
+  std::vector<std::size_t> got;
+  for (const Octree& tree : trees) {
+    for (const Box3& box : boxes) {
+      tree.cells_overlapping(box, got);
+      EXPECT_EQ(got, overlapping_by_scan(tree, box)) << box.str();
+    }
+  }
+
+  // Non-power-of-two decode grid: no key index, linear-scan fallback.
+  std::vector<std::int32_t> meta;
+  for (std::int32_t i = 0; i < 8; ++i) {
+    meta.insert(meta.end(), {6 * (i & 1), 6 * ((i >> 1) & 1), 6 * (i >> 2), 1,
+                             216 * i});
+  }
+  const Octree decoded = Octree::decode_metadata(Grid3{12, 12, 12}, meta, 1728);
+  const Box3 box{{5, 0, 7}, {7, 3, 12}};
+  decoded.cells_overlapping(box, got);
+  EXPECT_EQ(got, overlapping_by_scan(decoded, box));
+  EXPECT_EQ(got.size(), 2u);  // x straddles two cells; y, z lie in one
+}
+
 TEST(Octree, RequiresCubicPow2Grid) {
   const SamplingPolicy p = SamplingPolicy::uniform(2);
   EXPECT_THROW(Octree(Grid3{12, 12, 12}, Box3::cube_at({0, 0, 0}, 4), p),
