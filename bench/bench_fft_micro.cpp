@@ -281,9 +281,8 @@ int run_json_probe() {
   }
 
   // Real half-spectrum pencils (r2c forward / c2r inverse): the batched
-  // rows are the LocalConvolver real-path substrate (LC_REAL) and gate
-  // alongside the complex pencils; the per-pencil scalar rows are the
-  // reference.
+  // rows are the LocalConvolver's x-axis substrate and gate alongside the
+  // complex pencils; the per-pencil scalar rows are the reference.
   struct RealCase {
     std::size_t n;
     std::size_t batch;

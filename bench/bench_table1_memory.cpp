@@ -14,8 +14,7 @@ int main() {
   bench::JsonTable table("table1_memory",
       "Table 1 — memory for traditional FFT vs domain-local FFT (GB)");
   table.header({"Problem size", "Domain size", "Traditional FFT [GB]",
-                "Local FFT (ours) [GB]", "Spectrum c2c [GB]",
-                "Spectrum r2c [GB]"});
+                "Local FFT (ours) [GB]", "Spectrum r2c [GB]"});
 
   struct Row {
     i64 n;
@@ -31,22 +30,16 @@ int main() {
                format_bytes_gb(static_cast<double>(
                                    device::local_fft_slab_bytes(r.n, r.k)),
                                0),
-               format_bytes_gb(
-                   static_cast<double>(device::local_fft_spectrum_bytes(
-                       r.n, r.k, /*real_path=*/false)),
-                   0),
-               format_bytes_gb(
-                   static_cast<double>(device::local_fft_spectrum_bytes(
-                       r.n, r.k, /*real_path=*/true)),
-                   1)});
+               format_bytes_gb(static_cast<double>(
+                                   device::local_fft_spectrum_bytes(r.n, r.k)),
+                               1)});
   }
   table.print();
   std::puts(
       "\nPaper values (GB): traditional {8, 8, 64, 64, 512, 512, 4096, 4096};"
       "\n                   ours        {1, 4, 4, 16, 16, 64, 32, 64}."
-      "\nSpectrum columns: the slab as stored in spectral space — full"
-      "\ncomplex (2x the paper's real-slab figure) vs the LC_REAL Hermitian"
-      "\nhalf-spectrum, which lands back at the paper's footprint (+ one"
-      "\nNyquist column).");
+      "\nSpectrum column: the slab as the pipeline stores it in spectral"
+      "\nspace — the Hermitian half spectrum, the paper's footprint plus one"
+      "\nNyquist column.");
   return 0;
 }

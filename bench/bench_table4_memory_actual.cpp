@@ -25,7 +25,7 @@ int main() {
 
   bench::JsonTable table("table4_memory_actual","Table 4 — estimated vs actual device memory (GB)");
   table.header({"N", "k", "r", "Estimated (GB)", "Actual (GB)", "Ratio",
-                "Actual r2c (GB)", "Paper est/actual"});
+                "Paper est/actual"});
 
   struct Row {
     i64 n;
@@ -41,28 +41,18 @@ int main() {
   };
   for (const auto& row : rows) {
     const auto policy = sampling::SamplingPolicy::uniform(row.r);
-    // Paper comparison columns price the full complex path (the paper's
-    // cuFFT c2c pipeline); the r2c column is the LC_REAL half-spectrum
-    // footprint of the same plan.
     const auto plan = device::plan_local_pipeline(
-        row.n, row.k, policy, core::recommended_batch(row.n),
-        /*real_path=*/false);
-    const auto plan_r2c = device::plan_local_pipeline(
-        row.n, row.k, policy, core::recommended_batch(row.n),
-        /*real_path=*/true);
+        row.n, row.k, policy, core::recommended_batch(row.n));
     const double est = static_cast<double>(plan.estimated_total());
     const double act = static_cast<double>(plan.actual_total());
     table.row({std::to_string(row.n), std::to_string(row.k),
                std::to_string(row.r), format_bytes_gb(est),
-               format_bytes_gb(act), format_fixed(act / est, 2),
-               format_bytes_gb(static_cast<double>(plan_r2c.actual_total())),
-               row.paper});
+               format_bytes_gb(act), format_fixed(act / est, 2), row.paper});
   }
   table.print();
 
-  // Measured validation at a runnable size, once per pipeline: the plan's
-  // actual_total must equal the tracked peak for BOTH the complex and the
-  // r2c half-spectrum registrations (the model mirrors the engine exactly).
+  // Measured validation at a runnable size: the plan's actual_total must
+  // equal the tracked peak (the model mirrors the engine exactly).
   const i64 n = 64;
   const i64 k = 16;
   const i64 r = 4;
@@ -73,30 +63,23 @@ int main() {
   RealField chunk(Grid3::cube(k));
   SplitMix64 rng(1);
   for (auto& v : chunk.span()) v = rng.uniform(-1.0, 1.0);
-  bool mismatch = false;
-  for (const bool real_path : {false, true}) {
-    device::DeviceContext ctx(device::DeviceSpec::unlimited());
-    core::LocalConvolverConfig cfg;
-    cfg.batch = 512;
-    cfg.device = &ctx;
-    cfg.real = real_path ? core::LocalConvolverConfig::RealPath::kForce
-                         : core::LocalConvolverConfig::RealPath::kOff;
-    (void)core::LocalConvolver(g, kernel, cfg)
-        .convolve_subdomain(chunk, {0, 0, 0}, tree);
-    const auto plan = device::plan_local_pipeline(
-        n, k, sampling::SamplingPolicy::uniform(r), cfg.batch, real_path);
-    const bool match = ctx.peak_bytes() == plan.actual_total();
-    mismatch = mismatch || !match;
-    std::printf(
-        "\nMeasured validation (N=%lld, k=%lld, r=%lld, %s): tracked peak "
-        "%zu B, plan actual %zu B, plan estimated %zu B — %s.\n",
-        static_cast<long long>(n), static_cast<long long>(k),
-        static_cast<long long>(r), real_path ? "r2c" : "c2c",
-        ctx.peak_bytes(), plan.actual_total(), plan.estimated_total(),
-        match ? "match" : "MISMATCH");
-  }
+  device::DeviceContext ctx(device::DeviceSpec::unlimited());
+  core::LocalConvolverConfig cfg;
+  cfg.batch = 512;
+  cfg.device = &ctx;
+  (void)core::LocalConvolver(g, kernel, cfg)
+      .convolve_subdomain(chunk, {0, 0, 0}, tree);
+  const auto plan = device::plan_local_pipeline(
+      n, k, sampling::SamplingPolicy::uniform(r), cfg.batch);
+  const bool match = ctx.peak_bytes() == plan.actual_total();
+  std::printf(
+      "\nMeasured validation (N=%lld, k=%lld, r=%lld): tracked peak %zu B, "
+      "plan actual %zu B, plan estimated %zu B — %s.\n",
+      static_cast<long long>(n), static_cast<long long>(k),
+      static_cast<long long>(r), ctx.peak_bytes(), plan.actual_total(),
+      plan.estimated_total(), match ? "match" : "MISMATCH");
   std::puts(
       "Shape check: actual exceeds estimated by ~1.5-1.8x everywhere (paper: "
       "1.6-2.1x) — the cuFFT-temporaries gap.");
-  return mismatch ? 1 : 0;
+  return match ? 0 : 1;
 }

@@ -6,9 +6,7 @@
 // spellings — a silent fallback hid typos like LC_PLANNER=prob for whole
 // runs. The flags sharing the helper:
 //
-//   LC_REAL=auto|off                    half-spectrum dispatch (DESIGN.md §16)
 //   LC_PLANNER=analytic|probe|off       planner mode (planner::mode_from_env)
-//   LC_ASSIGNMENT=blockedmorton|roundrobin   rank-assignment A/B switch
 //   LC_WIRE=off|fp32|fp16|bf16|q16      exchange payload codec (DESIGN.md §17)
 #pragma once
 
@@ -45,12 +43,6 @@ namespace lc {
   }
   msg += ')';
   throw InvalidArgument(msg);
-}
-
-/// True unless LC_REAL=off. Read per call (engine construction only, never
-/// inner loops) so tests can toggle the environment between engines.
-[[nodiscard]] inline bool real_path_enabled() {
-  return env_choice("LC_REAL", 0, {"auto", "off"}) == 0;
 }
 
 }  // namespace lc

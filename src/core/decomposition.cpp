@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 
 namespace lc::core {
 
@@ -24,14 +23,6 @@ std::uint64_t morton3(std::uint64_t x, std::uint64_t y, std::uint64_t z) {
 }
 
 }  // namespace
-
-Assignment default_assignment() {
-  static const Assignment chosen =
-      env_choice("LC_ASSIGNMENT", 0, {"blockedmorton", "roundrobin"}) == 1
-          ? Assignment::kRoundRobin
-          : Assignment::kBlockedMorton;
-  return chosen;
-}
 
 DomainDecomposition::DomainDecomposition(const Grid3& grid, i64 k)
     : grid_(grid), k_(k) {
@@ -67,31 +58,18 @@ DomainDecomposition::DomainDecomposition(const Grid3& grid, i64 k)
 
 std::vector<std::size_t> DomainDecomposition::assigned_to(int rank,
                                                           int workers) const {
-  return assigned_to(rank, workers, default_assignment());
-}
-
-std::vector<std::size_t> DomainDecomposition::assigned_to(
-    int rank, int workers, Assignment how) const {
   LC_CHECK_ARG(workers >= 1 && rank >= 0 && rank < workers,
                "bad rank/worker count");
-  std::vector<std::size_t> mine;
-  if (how == Assignment::kRoundRobin) {
-    for (std::size_t i = static_cast<std::size_t>(rank); i < boxes_.size();
-         i += static_cast<std::size_t>(workers)) {
-      mine.push_back(i);
-    }
-    return mine;
-  }
-  // Blocked assignment: rank r owns the r-th contiguous run of the Morton
-  // order, so each rank's sub-domains form one compact spatial cluster and
-  // rank blocks (= nodes under Topology::grouped) cluster too.
+  // Contiguous Morton runs per rank; consecutive ranks' runs are adjacent,
+  // so rank blocks (= nodes under Topology::grouped) cluster too.
   const std::size_t count = boxes_.size();
   const std::size_t p = static_cast<std::size_t>(workers);
   const std::size_t r = static_cast<std::size_t>(rank);
   const std::size_t begin = count * r / p;
   const std::size_t end = count * (r + 1) / p;
-  mine.assign(morton_order_.begin() + static_cast<std::ptrdiff_t>(begin),
-              morton_order_.begin() + static_cast<std::ptrdiff_t>(end));
+  std::vector<std::size_t> mine(
+      morton_order_.begin() + static_cast<std::ptrdiff_t>(begin),
+      morton_order_.begin() + static_cast<std::ptrdiff_t>(end));
   std::sort(mine.begin(), mine.end());
   return mine;
 }

@@ -3,10 +3,16 @@
 // the result compressed by octree sampling during the inverse stages
 // (paper §3.2 steps 2–3, Fig 2, Fig 4).
 //
+// The input is real and only the real result is kept, so the pipeline
+// stores the Hermitian half spectrum: the nx/2+1 x-bins of every slab and
+// plane (r2c in, c2r out). That needs a conjugate-symmetric operator, which
+// the KernelSpectrum / SpectralOperator contracts require (DESIGN.md §16).
+//
 // Program flow (mirrors the paper's CUDA/cuFFT structure):
-//   1. xy stage  — the k nonzero z-slices of each channel are zero-padded
-//      to N×N (padding is per 1D call; the full padded N³ array never
-//      exists) and 2D-transformed into an N×N×k slab per channel.
+//   1. xy stage  — each of the k nonzero z-slices of each channel is r2c
+//      transformed along x (the pruned window supplies the zero padding to
+//      N; the full padded N³ array never exists), then along y, into an
+//      (N/2+1)×N×k half-spectrum slab per channel.
 //   2. z stage   — B pencils at a time ("batch parameter", §5.4): each
 //      (ξx, ξy) pencil is input-pruned forward-transformed to length N
 //      (only k inputs are nonzero), the spectral operator is applied per
@@ -14,9 +20,10 @@
 //      contraction), the pencil is inverse-transformed, and only the
 //      octree's retained z-planes are scattered into staging — the
 //      load/store-callback role of the cuFFT callbacks in Fig 4.
-//   3. plane stage — each retained z-plane is 2D inverse-transformed and
-//      the octree's (x, y) lattice samples are stored into the compressed
-//      payload. The dense N³ result is never materialised.
+//   3. plane stage — each retained z-plane is inverse-transformed along y
+//      and c2r along x into a real N² plane, and the octree's (x, y)
+//      lattice samples are stored into the compressed payload. The dense
+//      N³ result is never materialised.
 //
 // Every sample the pipeline keeps is an *exact* value of the circular
 // convolution; approximation error enters only at interpolation time.
@@ -37,14 +44,6 @@ namespace lc::core {
 
 /// Tuning and instrumentation knobs for the local pipeline.
 struct LocalConvolverConfig {
-  /// Hermitian half-spectrum dispatch (DESIGN.md §16). kAuto — the default
-  /// — takes the r2c/c2r path whenever the operator is Hermitian-symmetric
-  /// and LC_REAL != off, transforming only the nx/2+1 x-bins; kOff forces
-  /// the full complex path (the bit-exact ground truth the real path is
-  /// validated against); kForce requires a Hermitian operator and throws
-  /// otherwise.
-  enum class RealPath { kAuto, kOff, kForce };
-
   /// z-pencils transformed per batch (the paper's B; §5.4).
   std::size_t batch = 1024;
   /// Thread pool for intra-worker parallelism (nullptr → serial).
@@ -55,14 +54,12 @@ struct LocalConvolverConfig {
   /// Pre-built length-N plan shared across engines (the runtime plan
   /// cache's reuse hook); must match the grid side. Null → build our own.
   std::shared_ptr<const fft::Fft1D> plan;
-  /// Pre-built length-N r2c/c2r plan (plan-cache hook for the real path);
-  /// must match the grid side. Null → built on demand when active.
+  /// Pre-built length-N r2c/c2r plan (the x axis), shared the same way;
+  /// must match the grid side. Null → build our own.
   std::shared_ptr<const fft::RealFft1D> real_plan;
   /// Optional scratch recycler: slab and staging buffers are leased from it
   /// instead of allocated per call. Null → plain per-call allocation.
   BufferArena* arena = nullptr;
-  /// See RealPath; kAuto consults lc::real_path_enabled() (LC_REAL).
-  RealPath real = RealPath::kAuto;
 };
 
 /// Immutable local convolution engine for a fixed grid and operator.
@@ -83,11 +80,6 @@ class LocalConvolver {
   }
   [[nodiscard]] const SpectralOperator& op() const noexcept { return *op_; }
 
-  /// True when this engine runs the Hermitian half-spectrum (r2c/c2r)
-  /// pipeline — decided once at construction from config().real, LC_REAL,
-  /// and the operator's hermitian() predicate.
-  [[nodiscard]] bool uses_real_path() const noexcept { return real_path_; }
-
   /// Convolve C tight k³ channel chunks whose origin sits at `corner` of
   /// the global grid, compressing each channel's N³ result through `tree`
   /// (whose sub-domain must be the chunk box).
@@ -104,12 +96,10 @@ class LocalConvolver {
   Grid3 grid_;
   std::shared_ptr<const SpectralOperator> op_;
   LocalConvolverConfig config_;
-  // Length-N plan shared by every axis (cubic grid); either injected via
-  // LocalConvolverConfig::plan or built here.
+  // Length-N plans (cubic grid), injected via LocalConvolverConfig or built
+  // here: complex for the y and z axes, r2c/c2r for x.
   std::shared_ptr<const fft::Fft1D> fft_n_;
-  // Length-N r2c/c2r plan for the x axis; non-null iff real_path_.
   std::shared_ptr<const fft::RealFft1D> rfft_n_;
-  bool real_path_ = false;
 };
 
 /// RAII registration of `bytes` against an optional device context.

@@ -9,7 +9,6 @@
 #include "comm/hierarchical.hpp"
 #include "comm/wire_codec.hpp"
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "common/timer.hpp"
 #include "device/memory_model.hpp"
 #include "obs/metrics.hpp"
@@ -392,8 +391,7 @@ RealField distributed_lowcomm_convolve(
 
     // Compute model: the central sub-domain's octree (the block at
     // blocks/2 on every axis), the same formula the planner prices with
-    // (obs::modeled_point_passes). The half-spectrum scale follows what
-    // this run will actually execute.
+    // (obs::modeled_point_passes).
     const auto blocks = static_cast<std::size_t>(grid.nx / params.subdomain);
     const std::size_t mid = blocks / 2;
     const sampling::Octree& central =
@@ -401,11 +399,9 @@ RealField distributed_lowcomm_convolve(
     const double owned =
         std::ceil(static_cast<double>(decomp.count()) /
                   static_cast<double>(std::max(workers, 1)));
-    const bool half = real_path_enabled() && kernel->hermitian();
     rec.pred_point_passes =
         owned * obs::modeled_point_passes(grid.nx, params.subdomain,
-                                          central.retained_z_planes().size(),
-                                          half);
+                                          central.retained_z_planes().size());
     rec.pred_rate_pps = 2e8;  // PlanRequest::compute_rate_pps default
     rec.pred_compute_s = rec.pred_point_passes / rec.pred_rate_pps;
     rec.pred_memory_b = static_cast<std::int64_t>(

@@ -21,6 +21,15 @@ namespace lc::core {
 using fft::cplx;
 
 /// In-place per-bin operator on a fixed number of channels.
+///
+/// Contract: the operator maps conjugate-symmetric channel spectra to
+/// conjugate-symmetric ones — its per-bin matrix M satisfies
+/// M(fft::mirror_bin(ξ)) = conj M(ξ). The local convolver runs the r2c/c2r
+/// half-spectrum pipeline, applying the operator only at bins with
+/// x ∈ [0, nx/2] and letting c2r supply the mirror half (DESIGN.md §16). An
+/// operator that breaks the symmetry as written must apply its Hermitian
+/// part (M(ξ) + conj M(mirror ξ)) / 2, which yields the same real part of
+/// the result for real input.
 class SpectralOperator {
  public:
   virtual ~SpectralOperator() = default;
@@ -57,13 +66,6 @@ class SpectralOperator {
   }
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// True iff the operator maps Hermitian-symmetric channel spectra to
-  /// Hermitian-symmetric channel spectra — the precondition for the
-  /// half-spectrum (r2c/c2r) pipeline, which computes only the
-  /// x ∈ [0, nx/2] bins and lets c2r reconstitute the mirror half
-  /// (DESIGN.md §16). Defaults to false: the complex path is always valid.
-  [[nodiscard]] virtual bool hermitian() const { return false; }
 };
 
 /// Adapts a scalar KernelSpectrum to the operator interface (1 channel).
@@ -98,9 +100,6 @@ class ScalarKernelOperator final : public SpectralOperator {
   }
 
   [[nodiscard]] std::string name() const override { return kernel_->name(); }
-  [[nodiscard]] bool hermitian() const override {
-    return kernel_->hermitian();
-  }
 
   [[nodiscard]] const green::KernelSpectrum& kernel() const noexcept {
     return *kernel_;

@@ -28,26 +28,28 @@ std::size_t local_fft_slab_bytes(i64 n, i64 k) {
 
 namespace {
 
-/// Elements per spectral z-slice: the full N² plane, or the Hermitian
-/// half plane (nx/2+1)·N when the r2c/c2r path is active. Must mirror
-/// LocalConvolver's `spec_elems` exactly (bench_table4 asserts measured
-/// peak == planned actual).
-std::size_t spec_plane_elems(i64 n, bool real_path) {
-  return real_path ? (static_cast<std::size_t>(n) / 2 + 1) *
-                         static_cast<std::size_t>(n)
-                   : square(n);
+/// Elements per spectral z-slice: the Hermitian half plane (nx/2+1)·N.
+/// Must mirror LocalConvolver's `spec_elems` exactly (the device tests and
+/// bench_table4 assert measured peak == planned actual).
+std::size_t spec_plane_elems(i64 n) {
+  return (static_cast<std::size_t>(n) / 2 + 1) * static_cast<std::size_t>(n);
+}
+
+/// Transform workspace: 2× the slab for the batched 2D plan, one pencil
+/// batch for the z plan, and the c2r store lane's N² real plane.
+std::size_t plan_workspace_bytes(const PipelinePlan& plan, i64 n) {
+  return 2 * plan.slab_bytes + plan.pencil_bytes / 2 + kReal * square(n);
 }
 
 }  // namespace
 
-std::size_t local_fft_spectrum_bytes(i64 n, i64 k, bool real_path) {
-  return kComplex * spec_plane_elems(n, real_path) *
-         static_cast<std::size_t>(k);
+std::size_t local_fft_spectrum_bytes(i64 n, i64 k) {
+  return kComplex * spec_plane_elems(n) * static_cast<std::size_t>(k);
 }
 
 PipelinePlan plan_local_pipeline(i64 n, i64 k,
                                  const sampling::SamplingPolicy& policy,
-                                 std::size_t batch, bool real_path) {
+                                 std::size_t batch) {
   LC_CHECK_ARG(k >= 1 && k <= n, "sub-domain size outside grid");
   const Grid3 grid = Grid3::cube(n);
   // Octree construction touches only cell metadata (no dense arrays), so
@@ -56,39 +58,34 @@ PipelinePlan plan_local_pipeline(i64 n, i64 k,
 
   PipelinePlan plan;
   plan.chunk_bytes = kReal * cube(k);
-  plan.slab_bytes =
-      kComplex * spec_plane_elems(n, real_path) * static_cast<std::size_t>(k);
-  plan.staging_bytes = kComplex * spec_plane_elems(n, real_path) *
-                       tree.retained_z_planes().size();
+  plan.slab_bytes = local_fft_spectrum_bytes(n, k);
+  plan.staging_bytes =
+      kComplex * spec_plane_elems(n) * tree.retained_z_planes().size();
   plan.pencil_bytes = 2 * kComplex * batch * static_cast<std::size_t>(n);
   plan.payload_bytes = kReal * tree.total_samples();
   plan.metadata_bytes = tree.cells().size() * 5 * sizeof(std::int32_t);
-  // cuFFT-like workspace: double-precision c2c plans may require scratch up
-  // to twice the transform size — the batched 2D plan mirrors the slab
-  // (×2), the batched 1D z-plan one pencil batch, plus (real path) the N²
-  // real plane the c2r store lane writes. This is the paper's "temporaries
-  // in the midst of calculations" (Table 4).
-  plan.workspace_bytes = 2 * plan.slab_bytes + plan.pencil_bytes / 2 +
-                         (real_path ? kReal * square(n) : 0);
+  // cuFFT-like workspace: double-precision plans may require scratch up to
+  // twice the transform size. This is the paper's "temporaries in the midst
+  // of calculations" (Table 4).
+  plan.workspace_bytes = plan_workspace_bytes(plan, n);
   return plan;
 }
 
 PipelinePlan estimate_local_pipeline(i64 n, i64 k, i64 far_rate,
-                                     std::size_t batch, bool real_path) {
+                                     std::size_t batch) {
   LC_CHECK_ARG(k >= 1 && k <= n, "sub-domain size outside grid");
   LC_CHECK_ARG(far_rate >= 1, "far rate must be >= 1");
   const auto r = static_cast<std::size_t>(far_rate);
 
   PipelinePlan plan;
   plan.chunk_bytes = kReal * cube(k);
-  plan.slab_bytes =
-      kComplex * spec_plane_elems(n, real_path) * static_cast<std::size_t>(k);
+  plan.slab_bytes = local_fft_spectrum_bytes(n, k);
   // Dense core planes plus one exterior plane every r grid planes.
   const std::size_t planes =
       std::min(static_cast<std::size_t>(n),
                static_cast<std::size_t>(k) +
                    (static_cast<std::size_t>(n - k) + r - 1) / r + 1);
-  plan.staging_bytes = kComplex * spec_plane_elems(n, real_path) * planes;
+  plan.staging_bytes = kComplex * spec_plane_elems(n) * planes;
   plan.pencil_bytes = 2 * kComplex * batch * static_cast<std::size_t>(n);
   // Eqn 6: the dense k³ core plus the rate-r downsampled exterior.
   plan.payload_bytes =
@@ -96,8 +93,7 @@ PipelinePlan estimate_local_pipeline(i64 n, i64 k, i64 far_rate,
   const std::size_t tile = static_cast<std::size_t>(std::max(k, far_rate));
   plan.metadata_bytes =
       (cube(n) / (tile * tile * tile) + 64) * 5 * sizeof(std::int32_t);
-  plan.workspace_bytes = 2 * plan.slab_bytes + plan.pencil_bytes / 2 +
-                         (real_path ? kReal * square(n) : 0);
+  plan.workspace_bytes = plan_workspace_bytes(plan, n);
   return plan;
 }
 

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 
-#include "common/runtime_flags.hpp"
 #include "device/device.hpp"
 #include "sampling/octree.hpp"
 
@@ -49,22 +48,18 @@ struct PipelinePlan {
 /// Table 1, column "local FFT (ours)": the N×N×k slab.
 [[nodiscard]] std::size_t local_fft_slab_bytes(i64 n, i64 k);
 
-/// Spectrum footprint of the slab as the pipeline actually stores it:
-/// complex bins, the full N×N×k (c2c) or the Hermitian half (N/2+1)×N×k
-/// (r2c, DESIGN.md §16). The r2c footprint lands within one Nyquist
-/// column of the paper's 8·N²·k real-slab figure.
-[[nodiscard]] std::size_t local_fft_spectrum_bytes(i64 n, i64 k,
-                                                   bool real_path);
+/// Spectrum footprint of the slab as the pipeline actually stores it: the
+/// Hermitian half (N/2+1)×N×k of complex bins (r2c, DESIGN.md §16), within
+/// one Nyquist column of the paper's 8·N²·k real-slab figure.
+[[nodiscard]] std::size_t local_fft_spectrum_bytes(i64 n, i64 k);
 
 /// Full allocation plan of the local pipeline for one k³ sub-domain of an
-/// n³ grid under `policy`, with z-pencil batch size `batch`. `real_path`
-/// prices the Hermitian half-spectrum pipeline (slab/staging hold only the
-/// nx/2+1 x-bins, plus the c2r store lane's N² real plane) and defaults to
-/// the LC_REAL dispatch so plans match what a Hermitian-operator engine
-/// actually allocates; pass false to price the full complex path.
+/// n³ grid under `policy`, with z-pencil batch size `batch`: slab and
+/// staging hold the nx/2+1 x-bins of the half spectrum, and the workspace
+/// includes the c2r store lane's N² real plane — exactly what the engine
+/// registers, for every operator.
 [[nodiscard]] PipelinePlan plan_local_pipeline(
-    i64 n, i64 k, const sampling::SamplingPolicy& policy, std::size_t batch,
-    bool real_path = real_path_enabled());
+    i64 n, i64 k, const sampling::SamplingPolicy& policy, std::size_t batch);
 
 /// Octree-free analytic variant of plan_local_pipeline for ANY grid side
 /// (the real octree requires a power-of-two n): payload from the uniform
@@ -73,9 +68,9 @@ struct PipelinePlan {
 /// dominant slab / pencil / workspace terms are identical to the exact
 /// plan's. Used where n may not be a power of two (the divisor fallback in
 /// core::select_hyperparams).
-[[nodiscard]] PipelinePlan estimate_local_pipeline(
-    i64 n, i64 k, i64 far_rate, std::size_t batch,
-    bool real_path = real_path_enabled());
+[[nodiscard]] PipelinePlan estimate_local_pipeline(i64 n, i64 k,
+                                                   i64 far_rate,
+                                                   std::size_t batch);
 
 /// Planning downsampling rate: the paper coarsens r with the problem ratio
 /// (r = 4 at N/k = 4 up to r = 128 at N = 2048 in Table 4). Clamped to

@@ -13,6 +13,15 @@ namespace lc::fft {
   return (j <= n / 2) ? j : j - n;
 }
 
+/// DFT bin of the negated frequency: (n − j) mod n on every axis. A real
+/// field's spectrum is conjugate-symmetric under this map,
+/// F(mirror_bin(ξ)) = conj F(ξ).
+[[nodiscard]] constexpr Index3 mirror_bin(const Index3& bin,
+                                          const Grid3& g) noexcept {
+  return {(g.nx - bin.x) % g.nx, (g.ny - bin.y) % g.ny,
+          (g.nz - bin.z) % g.nz};
+}
+
 /// Angular frequency (radians per sample) of bin j: 2π·signed_frequency/n.
 [[nodiscard]] double angular_frequency(i64 j, i64 n) noexcept;
 

@@ -47,6 +47,23 @@ Green4 elastic_green_at_bin(const Index3& bin, const Grid3& g,
   return elastic_green_operator(omega, ref);
 }
 
+Green4 elastic_green_hermitian_at_bin(const Index3& bin, const Grid3& g,
+                                      const Lame& ref) {
+  const auto nyquist = [](i64 j, i64 n) { return n % 2 == 0 && j == n / 2; };
+  Green4 gamma = elastic_green_at_bin(bin, g, ref);
+  if (!nyquist(bin.x, g.nx) && !nyquist(bin.y, g.ny) &&
+      !nyquist(bin.z, g.nz)) {
+    return gamma;
+  }
+  const Green4 mirror = elastic_green_at_bin(fft::mirror_bin(bin, g), g, ref);
+  for (std::size_t a = 0; a < 6; ++a) {
+    for (std::size_t b = 0; b < 6; ++b) {
+      gamma.m[a][b] = 0.5 * (gamma.m[a][b] + mirror.m[a][b]);
+    }
+  }
+  return gamma;
+}
+
 Sym2c apply_green(const Green4& gamma, const Sym2c& sigma_hat) {
   Sym2c out;
   for (std::size_t a = 0; a < 6; ++a) {

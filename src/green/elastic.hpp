@@ -25,6 +25,18 @@ namespace lc::green {
 [[nodiscard]] Green4 elastic_green_at_bin(const Index3& bin, const Grid3& g,
                                           const Lame& ref);
 
+/// Hermitian part of the binned Γ̂: (Γ̂(bin) + Γ̂(mirror(bin))) / 2 (Γ̂ is
+/// real, so the conjugate drops out). The signed-frequency convention maps
+/// the Nyquist bin n/2 to +π on every axis, so on bins with a coordinate at
+/// n/2 (even n) a cross term like ξ_x ξ_y keeps its sign at the mirror bin
+/// where conjugate symmetry needs it flipped; those bins are averaged. On
+/// every other bin the mirror's frequency is exactly −ω and Γ̂ is even, so
+/// the binned value is returned unchanged. For real σ this gives the same
+/// real part of Γ̂ ∗ σ as the raw binned operator (DESIGN.md §16).
+[[nodiscard]] Green4 elastic_green_hermitian_at_bin(const Index3& bin,
+                                                    const Grid3& g,
+                                                    const Lame& ref);
+
 /// Apply Γ̂(ω) to a complex symmetric rank-2 tensor (the Fourier transform
 /// of the stress field): (Γ̂ : σ̂)_ij. This is the per-bin inner operation
 /// of MASSIF's convolution step.

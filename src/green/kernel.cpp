@@ -1,6 +1,7 @@
 #include "green/kernel.hpp"
 
 #include "common/check.hpp"
+#include "fft/freq.hpp"
 
 namespace lc::green {
 
@@ -10,77 +11,28 @@ ComplexField KernelSpectrum::materialize(const Grid3& g) const {
   return out;
 }
 
-ComplexField KernelSpectrum::materialize_half(const Grid3& g) const {
-  const Grid3 half{g.nx / 2 + 1, g.ny, g.nz};
-  ComplexField out(half);
-  // Bin indices on the half grid are valid full-grid indices, so eval()
-  // needs no half-aware variant.
-  for_each_point(Box3::of(half), [&](const Index3& p) { out(p) = eval(p, g); });
-  return out;
+DenseSpectrum::DenseSpectrum(const ComplexField& spectrum, std::string name)
+    : hat_(Grid3{spectrum.grid().nx / 2 + 1, spectrum.grid().ny,
+                 spectrum.grid().nz}),
+      full_(spectrum.grid()),
+      name_(std::move(name)) {
+  for_each_point(Box3::of(hat_.grid()), [&](const Index3& p) {
+    const cplx mirror = spectrum(fft::mirror_bin(p, full_));
+    hat_(p) = 0.5 * (spectrum(p) + std::conj(mirror));
+  });
 }
-
-namespace {
-
-/// Hermitian-symmetry scan: |Ĝ((N−ξ) mod N) − conj(Ĝ(ξ))| ≤ 1e-12·max|Ĝ|
-/// at every bin. Only bins with x ≤ nx/2 are visited (the mirror pair
-/// covers the rest).
-bool spectrum_is_hermitian(const ComplexField& hat) {
-  const Grid3& g = hat.grid();
-  double scale = 1.0;
-  for (const cplx& v : hat.span()) scale = std::max(scale, std::abs(v));
-  const double tol = 1e-12 * scale;
-  for (i64 z = 0; z < g.nz; ++z) {
-    for (i64 y = 0; y < g.ny; ++y) {
-      for (i64 x = 0; x <= g.nx / 2; ++x) {
-        const cplx mirror =
-            hat((g.nx - x) % g.nx, (g.ny - y) % g.ny, (g.nz - z) % g.nz);
-        if (std::abs(mirror - std::conj(hat(x, y, z))) > tol) return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-DenseSpectrum::DenseSpectrum(ComplexField spectrum, std::string name)
-    : hat_(std::move(spectrum)),
-      name_(std::move(name)),
-      hermitian_(spectrum_is_hermitian(hat_)) {}
 
 cplx DenseSpectrum::eval(const Index3& bin, const Grid3& g) const {
-  LC_CHECK_ARG(hat_.grid() == g, "dense spectrum grid mismatch");
-  return hat_(bin);
+  LC_CHECK_ARG(g == full_, "dense spectrum grid mismatch");
+  if (bin.x <= full_.nx / 2) return hat_(bin);
+  return std::conj(hat_(fft::mirror_bin(bin, full_)));
 }
 
 void DenseSpectrum::eval_z_run(const Index3& start, const Grid3& g,
                                std::span<cplx> out) const {
-  LC_CHECK_ARG(hat_.grid() == g, "dense spectrum grid mismatch");
-  for (std::size_t t = 0; t < out.size(); ++t) {
-    out[t] = hat_({start.x, start.y, start.z + static_cast<i64>(t)});
-  }
-}
-
-HalfDenseSpectrum::HalfDenseSpectrum(ComplexField half, const Grid3& full,
-                                     std::string name)
-    : hat_(std::move(half)), full_(full), name_(std::move(name)) {
-  const Grid3 want{full.nx / 2 + 1, full.ny, full.nz};
-  LC_CHECK_ARG(hat_.grid() == want, "half spectrum shape mismatch");
-}
-
-cplx HalfDenseSpectrum::eval(const Index3& bin, const Grid3& g) const {
-  LC_CHECK_ARG(g == full_, "half spectrum grid mismatch");
-  if (bin.x <= full_.nx / 2) return hat_(bin);
-  // Mirror half by conjugate symmetry.
-  return std::conj(hat_(full_.nx - bin.x, (full_.ny - bin.y) % full_.ny,
-                        (full_.nz - bin.z) % full_.nz));
-}
-
-void HalfDenseSpectrum::eval_z_run(const Index3& start, const Grid3& g,
-                                   std::span<cplx> out) const {
-  LC_CHECK_ARG(g == full_, "half spectrum grid mismatch");
+  LC_CHECK_ARG(g == full_, "dense spectrum grid mismatch");
   if (start.x <= full_.nx / 2) {
-    // Stored half: contiguous z run straight off the table.
+    // Stored half: the z run reads straight off the table.
     for (std::size_t t = 0; t < out.size(); ++t) {
       out[t] = hat_({start.x, start.y, start.z + static_cast<i64>(t)});
     }

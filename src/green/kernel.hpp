@@ -20,6 +20,15 @@ namespace lc::green {
 using cplx = std::complex<double>;
 
 /// A scalar convolution kernel given by its DFT on an N^3 grid.
+///
+/// Contract: the spectrum is conjugate-symmetric on every grid it accepts,
+/// eval(fft::mirror_bin(ξ, g), g) == conj(eval(ξ, g)) — the spatial kernel
+/// is real. The local convolver runs the r2c/c2r half-spectrum pipeline,
+/// which evaluates only the bins with x ∈ [0, nx/2] and lets c2r supply the
+/// mirror half (DESIGN.md §16). A kernel whose closed form breaks the
+/// symmetry (a binned Nyquist convention, a measured spectrum) must return
+/// its Hermitian part (K(ξ) + conj K(mirror ξ)) / 2, which gives the same
+/// real part of the convolution of any real input.
 class KernelSpectrum {
  public:
   virtual ~KernelSpectrum() = default;
@@ -48,64 +57,28 @@ class KernelSpectrum {
   /// default is name(), which suffices only for parameter-free kernels).
   [[nodiscard]] virtual std::string cache_key() const { return name(); }
 
-  /// True iff the spectrum is Hermitian-symmetric on every grid it accepts:
-  /// Ĝ((N − ξ) mod N) == conj(Ĝ(ξ)), i.e. the spatial kernel is real. This
-  /// is the precondition for the half-spectrum (r2c/c2r) execution path,
-  /// which stores only the x ∈ [0, nx/2] bins and lets c2r supply the
-  /// mirror half (DESIGN.md §16). Defaults to false — the full complex
-  /// path is always valid.
-  [[nodiscard]] virtual bool hermitian() const { return false; }
-
-  /// Materialise the full dense spectrum (test/baseline use).
+  /// Materialise the full dense spectrum (dense baselines, tests, and the
+  /// input of a DenseSpectrum).
   [[nodiscard]] ComplexField materialize(const Grid3& g) const;
-
-  /// Materialise only the Hermitian half grid: a (nx/2 + 1) × ny × nz field
-  /// holding Ĝ at bins x ∈ [0, nx/2]. Only meaningful for hermitian()
-  /// kernels (the dropped mirror bins are then redundant); halves the
-  /// cached-spectrum bytes relative to materialize().
-  [[nodiscard]] ComplexField materialize_half(const Grid3& g) const;
 };
 
-/// Dense spectrum wrapper: adapts a precomputed ComplexField to the
-/// KernelSpectrum interface (e.g. a numerically transformed kernel).
+/// Dense spectrum: a precomputed spectrum (e.g. a numerically transformed
+/// kernel) behind the KernelSpectrum interface. Stores the Hermitian part
+/// K_h(ξ) = (K(ξ) + conj K(mirror ξ)) / 2 of the given full spectrum on the
+/// (nx/2 + 1) × ny × nz half grid — half the bytes of the full field — and
+/// serves the bins past nx/2 by conjugation. A spectrum that is already
+/// conjugate-symmetric is stored unchanged (to rounding).
 class DenseSpectrum final : public KernelSpectrum {
  public:
-  explicit DenseSpectrum(ComplexField spectrum, std::string name = "dense");
+  explicit DenseSpectrum(const ComplexField& spectrum,
+                         std::string name = "dense");
 
   [[nodiscard]] cplx eval(const Index3& bin, const Grid3& g) const override;
   void eval_z_run(const Index3& start, const Grid3& g,
                   std::span<cplx> out) const override;
   [[nodiscard]] std::string name() const override { return name_; }
-  /// Detected at construction: a numerically transformed real kernel is
-  /// Hermitian to rounding, which the scan accepts (1e-12 relative).
-  [[nodiscard]] bool hermitian() const override { return hermitian_; }
 
-  [[nodiscard]] const ComplexField& spectrum() const noexcept { return hat_; }
-
- private:
-  ComplexField hat_;
-  std::string name_;
-  bool hermitian_;
-};
-
-/// Half-grid dense spectrum: a materialised Hermitian spectrum storing only
-/// the x ∈ [0, nx/2] bins of logical grid `full` ((nx/2+1) · ny · nz values
-/// — half the ResourceCache footprint of DenseSpectrum). eval() serves the
-/// mirror half via conjugate symmetry, so it remains a drop-in
-/// KernelSpectrum for the complex path too.
-class HalfDenseSpectrum final : public KernelSpectrum {
- public:
-  /// `half` must have shape (full.nx/2 + 1, full.ny, full.nz) — typically
-  /// the result of materialize_half(full).
-  HalfDenseSpectrum(ComplexField half, const Grid3& full,
-                    std::string name = "dense-half");
-
-  [[nodiscard]] cplx eval(const Index3& bin, const Grid3& g) const override;
-  void eval_z_run(const Index3& start, const Grid3& g,
-                  std::span<cplx> out) const override;
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] bool hermitian() const override { return true; }
-
+  /// The stored bins x ∈ [0, nx/2] of the logical grid.
   [[nodiscard]] const ComplexField& half_spectrum() const noexcept {
     return hat_;
   }

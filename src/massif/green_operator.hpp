@@ -7,6 +7,12 @@
 //
 // ElasticGreenComponentKernel exposes a single Γ̂ Voigt component as a
 // scalar kernel for per-component pipelines and ablation benches.
+//
+// Both evaluate the Hermitian part of the binned Γ̂
+// (green::elastic_green_hermitian_at_bin): the local convolver runs the
+// r2c/c2r half-spectrum pipeline, which needs a conjugate-symmetric
+// operator, and the projection leaves the real part of Γ̂ ∗ σ unchanged.
+// The dense reference (DenseGreenBackend) keeps the raw binned Γ̂.
 #pragma once
 
 #include "core/spectral_operator.hpp"
@@ -27,7 +33,7 @@ class ElasticGreenOperator final : public core::SpectralOperator {
 
   void apply(const Index3& bin, const Grid3& g,
              std::span<core::cplx> values) const override {
-    const Green4 gamma = green::elastic_green_at_bin(bin, g, ref_);
+    const Green4 gamma = green::elastic_green_hermitian_at_bin(bin, g, ref_);
     Sym2c sigma;
     for (std::size_t a = 0; a < 6; ++a) sigma.v[a] = values[a];
     const Sym2c eps = green::apply_green(gamma, sigma);
@@ -35,16 +41,6 @@ class ElasticGreenOperator final : public core::SpectralOperator {
   }
 
   [[nodiscard]] std::string name() const override { return "elastic-green"; }
-  /// NOT Hermitian as binned, despite Γ̂ being real and even in ω: the
-  /// signed-frequency convention maps the Nyquist bin n/2 to +π on every
-  /// axis, so cross terms like ξ_x ξ_y at a mirrored bin pair (x, n/2, z) /
-  /// (n−x, n/2, n−z) keep the SAME sign of ξ_y where conjugate symmetry
-  /// needs the opposite — Γ̂(mirror(bin)) ≠ Γ̂(−ω(bin)) on the Nyquist
-  /// planes. The complex pipeline applies that convention everywhere and
-  /// keeps .real() at the end (matching the dense MASSIF reference
-  /// bit-for-bit); an r2c half-spectrum run would implicitly Hermitianize
-  /// and diverge by O(1/n). So this operator stays on the complex path.
-  [[nodiscard]] bool hermitian() const override { return false; }
 
   [[nodiscard]] const Lame& reference() const noexcept { return ref_; }
 
@@ -63,15 +59,13 @@ class ElasticGreenComponentKernel final : public green::KernelSpectrum {
 
   [[nodiscard]] green::cplx eval(const Index3& bin,
                                  const Grid3& g) const override {
-    return {green::elastic_green_at_bin(bin, g, ref_).m[a_][b_], 0.0};
+    return {green::elastic_green_hermitian_at_bin(bin, g, ref_).m[a_][b_],
+            0.0};
   }
 
   [[nodiscard]] std::string name() const override {
     return "gamma[" + std::to_string(a_) + "][" + std::to_string(b_) + "]";
   }
-  /// Same Nyquist cross-term asymmetry as ElasticGreenOperator (see above):
-  /// real and even in ω, but not conjugate-symmetric as binned.
-  [[nodiscard]] bool hermitian() const override { return false; }
 
  private:
   std::size_t a_;

@@ -115,8 +115,7 @@ CandidateCost price_block(const PlanRequest& req, const Candidate& c,
   // the single source shared with the telemetry emitter, so a rate fitted
   // from plan-vs-actual history (planner/calibration.hpp) is directly
   // substitutable for req.compute_rate_pps.
-  const double per_subdomain =
-      obs::modeled_point_passes(n, k, shape.planes, real_path_enabled());
+  const double per_subdomain = obs::modeled_point_passes(n, k, shape.planes);
   cost.compute_seconds = owned * per_subdomain / req.compute_rate_pps;
 
   // Wire model: each rank ships its owned sub-domains' exact octree payload
@@ -454,11 +453,8 @@ std::string cache_key(const PlanRequest& req, Mode mode) {
   // "execplan/" keeps this namespace disjoint from the service's FFT-plan
   // entries ("plan/n=<n>") in the same ResourceCache.
   std::string key = "execplan/n=" + std::to_string(req.n);
-  // Real-path dispatch changes both the compute and memory pricing, so
-  // cached plans must not leak across LC_REAL toggles.
-  key += real_path_enabled() ? "/real=on" : "/real=off";
-  // Same for the wire codec: the request's base codec seeds the candidate
-  // grid (LC_WIRE pins it), so plans must not leak across codec changes.
+  // The request's base codec seeds the candidate grid (LC_WIRE pins it), so
+  // cached plans must not leak across codec changes.
   key += std::string("/wire=") + comm::codec_name(req.base.wire);
   key += "/p=" + std::to_string(req.ranks);
   key += "/nodes=" + std::to_string(req.topology.nodes());

@@ -48,27 +48,24 @@ TEST(Decomposition, SingleDomainWhenKEqualsN) {
 
 TEST(Decomposition, AssignmentsCoverAllWithoutOverlap) {
   const DomainDecomposition d(Grid3::cube(64), 16);
-  for (const auto how : {Assignment::kBlockedMorton, Assignment::kRoundRobin}) {
-    std::vector<int> owner(d.count(), -1);
-    for (int r = 0; r < 3; ++r) {
-      for (const auto i : d.assigned_to(r, 3, how)) {
-        EXPECT_EQ(owner[i], -1);
-        owner[i] = r;
-      }
+  std::vector<int> owner(d.count(), -1);
+  for (int r = 0; r < 3; ++r) {
+    for (const auto i : d.assigned_to(r, 3)) {
+      EXPECT_EQ(owner[i], -1);
+      owner[i] = r;
     }
-    for (const int o : owner) EXPECT_NE(o, -1);
   }
+  for (const int o : owner) EXPECT_NE(o, -1);
 }
 
 TEST(Decomposition, BlockedMortonAssignmentIsSpatiallyCompact) {
   // 64 sub-domains over 8 ranks: each rank's blocked-Morton share must be
-  // one 2x2x2 octant (a 32-cube), while round-robin scatters every rank
-  // across the whole grid. Compactness is what makes node-grouped ranks
-  // share octree cells — the locality the hierarchical exchange and the
-  // planner's node-dedup model rely on.
+  // one 2x2x2 octant (a 32-cube). Compactness is what makes node-grouped
+  // ranks share octree cells — the locality the hierarchical exchange and
+  // the planner's node-dedup model rely on.
   const DomainDecomposition d(Grid3::cube(64), 16);
   for (int r = 0; r < 8; ++r) {
-    const auto mine = d.assigned_to(r, 8, Assignment::kBlockedMorton);
+    const auto mine = d.assigned_to(r, 8);
     ASSERT_EQ(mine.size(), 8u);
     Box3 hull = d.subdomain(mine.front());
     for (const auto i : mine) {
@@ -81,8 +78,6 @@ TEST(Decomposition, BlockedMortonAssignmentIsSpatiallyCompact) {
     EXPECT_EQ(hull.extents().size(), Grid3::cube(32).size())
         << "rank " << r << " does not own a compact octant";
   }
-  const auto scattered = d.assigned_to(0, 8, Assignment::kRoundRobin);
-  EXPECT_EQ(scattered, (std::vector<std::size_t>{0, 8, 16, 24, 32, 40, 48, 56}));
 }
 
 TEST(Hyperparams, SubdomainDivisorsDescendAndDivide) {
@@ -131,20 +126,51 @@ TEST(Decomposition, RejectsIndivisibleShapes) {
 
 // --- Local convolver ------------------------------------------------------
 
+/// Dense oracle for one sub-domain: the chunk zero-embedded at `corner` of
+/// grid `g`, convolved by baseline::dense_convolve (complex 3D FFT, real
+/// part kept).
+RealField dense_reference(const Grid3& g, const green::KernelSpectrum& kernel,
+                          const RealField& chunk, const Index3& corner) {
+  RealField padded(g, 0.0);
+  padded.insert(chunk, corner);
+  return baseline::dense_convolve(padded, kernel);
+}
+
+/// Every retained sample is an exact convolution value, so each must equal
+/// the dense oracle at its grid point to 1e-12·max|want|.
+void expect_samples_match(const sampling::CompressedField& got,
+                          const RealField& want) {
+  double scale = 0.0;
+  for (const double v : want.span()) scale = std::max(scale, std::abs(v));
+  const double tol = 1e-12 * scale;
+  const Grid3& g = want.grid();
+  const auto samples = got.samples();
+  for (const auto& c : got.octree().cells()) {
+    const i64 e = c.samples_per_edge();
+    for (i64 iz = 0; iz < e; ++iz) {
+      for (i64 iy = 0; iy < e; ++iy) {
+        for (i64 ix = 0; ix < e; ++ix) {
+          const Index3 p{(c.corner.x + ix * c.rate) % g.nx,
+                         (c.corner.y + iy * c.rate) % g.ny,
+                         (c.corner.z + iz * c.rate) % g.nz};
+          ASSERT_NEAR(samples[c.sample_offset + c.sample_index(ix, iy, iz)],
+                      want(p), tol)
+              << p.str();
+        }
+      }
+    }
+  }
+}
+
 class LocalConvolverTest : public ::testing::Test {
  protected:
   static constexpr i64 kN = 32;
   Grid3 grid_ = Grid3::cube(kN);
   std::shared_ptr<green::GaussianSpectrum> kernel_ =
       std::make_shared<green::GaussianSpectrum>(grid_, 1.5);
-  fft::Fft3D plan_{grid_};
 
-  /// Dense reference: chunk zero-embedded, full FFT convolution.
   RealField reference(const RealField& chunk, const Index3& corner) {
-    RealField padded(grid_, 0.0);
-    padded.insert(chunk, corner);
-    return fft::convolve_with_spectrum(padded, kernel_->materialize(grid_),
-                                       plan_);
+    return dense_reference(grid_, *kernel_, chunk, corner);
   }
 };
 
@@ -250,8 +276,12 @@ TEST_F(LocalConvolverTest, RegistersPipelineBuffersOnDevice) {
   (void)LocalConvolver(grid_, kernel_, cfg)
       .convolve_subdomain(chunk, {0, 0, 0}, tree);
   EXPECT_EQ(ctx.used_bytes(), 0u);  // everything released
-  // Peak at least covers the slab.
-  EXPECT_GE(ctx.peak_bytes(), 16u * kN * kN * k);
+  // The memory model prices exactly what the engine registers.
+  EXPECT_EQ(ctx.peak_bytes(),
+            device::plan_local_pipeline(
+                kN, k, sampling::SamplingPolicy::paper_default(k, 8, 0),
+                cfg.batch)
+                .actual_total());
 }
 
 TEST_F(LocalConvolverTest, FailsWhenDeviceTooSmall) {
@@ -277,21 +307,10 @@ TEST_F(LocalConvolverTest, RejectsMismatchedOctree) {
                InvalidArgument);
 }
 
-// --- Hermitian half-spectrum (real) path -----------------------------------
-
-/// One-channel non-Hermitian operator: multiplies by i, so the spatial
-/// result of a real input is imaginary — any r2c run would be wrong.
-struct RotateOp final : SpectralOperator {
-  [[nodiscard]] std::size_t channels() const override { return 1; }
-  void apply(const Index3&, const Grid3&,
-             std::span<cplx> values) const override {
-    for (auto& v : values) v *= cplx{0.0, 1.0};
-  }
-  [[nodiscard]] std::string name() const override { return "rotate-i"; }
-};
+// --- Hermitian half-spectrum pipeline ----------------------------------------
 
 /// Six independent Gaussian channels through the default per-bin
-/// apply_z_pencil path (no cross-channel mixing), Hermitian by symmetry.
+/// apply_z_pencil path (no cross-channel mixing).
 struct DiagGaussOp final : SpectralOperator {
   std::shared_ptr<const green::GaussianSpectrum> k_;
   explicit DiagGaussOp(std::shared_ptr<const green::GaussianSpectrum> k)
@@ -303,23 +322,7 @@ struct DiagGaussOp final : SpectralOperator {
     for (auto& x : values) x *= v;
   }
   [[nodiscard]] std::string name() const override { return "diag-gauss"; }
-  [[nodiscard]] bool hermitian() const override { return true; }
 };
-
-TEST_F(LocalConvolverTest, RealPathDispatchFollowsOperatorAndConfig) {
-  LocalConvolverConfig off;
-  off.real = LocalConvolverConfig::RealPath::kOff;
-  EXPECT_FALSE(LocalConvolver(grid_, kernel_, off).uses_real_path());
-  LocalConvolverConfig force;
-  force.real = LocalConvolverConfig::RealPath::kForce;
-  EXPECT_TRUE(LocalConvolver(grid_, kernel_, force).uses_real_path());
-  // kAuto + Hermitian kernel follows LC_REAL (unset in the test runner).
-  EXPECT_TRUE(LocalConvolver(grid_, kernel_).uses_real_path());
-  // A non-Hermitian operator never takes the real path; forcing it throws.
-  auto rot = std::make_shared<RotateOp>();
-  EXPECT_FALSE(LocalConvolver(grid_, rot).uses_real_path());
-  EXPECT_THROW(LocalConvolver(grid_, rot, force), InvalidArgument);
-}
 
 TEST_F(LocalConvolverTest, RealPathMatchesComplexPathAndDenseReference) {
   const i64 k = 8;
@@ -327,26 +330,16 @@ TEST_F(LocalConvolverTest, RealPathMatchesComplexPathAndDenseReference) {
   const RealField chunk = random_field(Grid3::cube(k), 31);
   auto tree = std::make_shared<sampling::Octree>(
       grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(1));
-  LocalConvolverConfig real_cfg;
-  real_cfg.real = LocalConvolverConfig::RealPath::kForce;
-  LocalConvolverConfig cplx_cfg;
-  cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto a = LocalConvolver(grid_, kernel_, real_cfg)
-                     .convolve_subdomain(chunk, corner, tree);
-  const auto b = LocalConvolver(grid_, kernel_, cplx_cfg)
-                     .convolve_subdomain(chunk, corner, tree);
-  const auto sa = a.samples();
-  const auto sb = b.samples();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    ASSERT_NEAR(sa[i], sb[i], 1e-12) << i;
-  }
-  const RealField want = reference(chunk, corner);
+  const auto a =
+      LocalConvolver(grid_, kernel_).convolve_subdomain(chunk, corner, tree);
+  const RealField want = dense_reference(grid_, *kernel_, chunk, corner);
+  expect_samples_match(a, want);
   EXPECT_LT(max_abs_error(a.reconstruct().span(), want.span()), 1e-10);
 }
 
 TEST(LocalConvolverReal, MatchesComplexPathAcrossGridSizes) {
   for (const i64 n : {16, 64}) {
+    SCOPED_TRACE(n);
     const Grid3 g = Grid3::cube(n);
     const i64 k = 8;
     const Index3 corner{n / 2, 0, n / 4};
@@ -354,20 +347,9 @@ TEST(LocalConvolverReal, MatchesComplexPathAcrossGridSizes) {
     const RealField chunk = random_field(Grid3::cube(k), 32);
     auto tree = std::make_shared<sampling::Octree>(
         g, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
-    LocalConvolverConfig real_cfg;
-    real_cfg.real = LocalConvolverConfig::RealPath::kForce;
-    LocalConvolverConfig cplx_cfg;
-    cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-    const auto a = LocalConvolver(g, kernel, real_cfg)
-                       .convolve_subdomain(chunk, corner, tree);
-    const auto b = LocalConvolver(g, kernel, cplx_cfg)
-                       .convolve_subdomain(chunk, corner, tree);
-    const auto sa = a.samples();
-    const auto sb = b.samples();
-    ASSERT_EQ(sa.size(), sb.size());
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      ASSERT_NEAR(sa[i], sb[i], 1e-12) << "n=" << n << " i=" << i;
-    }
+    const auto a =
+        LocalConvolver(g, kernel).convolve_subdomain(chunk, corner, tree);
+    expect_samples_match(a, dense_reference(g, *kernel, chunk, corner));
   }
 }
 
@@ -379,19 +361,10 @@ TEST_F(LocalConvolverTest, RealPathHandlesPartialBatchTiles) {
   auto tree = std::make_shared<sampling::Octree>(
       grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
   LocalConvolverConfig ragged;
-  ragged.real = LocalConvolverConfig::RealPath::kForce;
   ragged.batch = 37;
-  LocalConvolverConfig cplx_cfg;
-  cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
   const auto a = LocalConvolver(grid_, kernel_, ragged)
                      .convolve_subdomain(chunk, corner, tree);
-  const auto b = LocalConvolver(grid_, kernel_, cplx_cfg)
-                     .convolve_subdomain(chunk, corner, tree);
-  const auto sa = a.samples();
-  const auto sb = b.samples();
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    ASSERT_NEAR(sa[i], sb[i], 1e-12) << i;
-  }
+  expect_samples_match(a, dense_reference(grid_, *kernel_, chunk, corner));
 }
 
 TEST_F(LocalConvolverTest, RealPathMultiChannelMatchesComplexPath) {
@@ -404,44 +377,13 @@ TEST_F(LocalConvolverTest, RealPathMultiChannelMatchesComplexPath) {
   }
   auto tree = std::make_shared<sampling::Octree>(
       grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(1));
-  LocalConvolverConfig real_cfg;
-  real_cfg.real = LocalConvolverConfig::RealPath::kForce;
-  LocalConvolverConfig cplx_cfg;
-  cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto a = LocalConvolver(grid_, op, real_cfg)
-                     .convolve_channels(chunks, corner, tree);
-  const auto b = LocalConvolver(grid_, op, cplx_cfg)
-                     .convolve_channels(chunks, corner, tree);
-  ASSERT_EQ(a.size(), b.size());
+  const auto a =
+      LocalConvolver(grid_, op).convolve_channels(chunks, corner, tree);
+  ASSERT_EQ(a.size(), chunks.size());
   for (std::size_t c = 0; c < a.size(); ++c) {
-    const auto sa = a[c].samples();
-    const auto sb = b[c].samples();
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      ASSERT_NEAR(sa[i], sb[i], 1e-12) << "c=" << c << " i=" << i;
-    }
-  }
-}
-
-TEST_F(LocalConvolverTest, LcRealOffEnvIsBitExactWithComplexConfig) {
-  const i64 k = 8;
-  const Index3 corner{8, 8, 8};
-  const RealField chunk = random_field(Grid3::cube(k), 34);
-  auto tree = std::make_shared<sampling::Octree>(
-      grid_, Box3::cube_at(corner, k), sampling::SamplingPolicy::uniform(2));
-  LocalConvolverConfig cplx_cfg;
-  cplx_cfg.real = LocalConvolverConfig::RealPath::kOff;
-  const auto want = LocalConvolver(grid_, kernel_, cplx_cfg)
-                        .convolve_subdomain(chunk, corner, tree);
-  ASSERT_EQ(setenv("LC_REAL", "off", 1), 0);
-  const LocalConvolver env_engine(grid_, kernel_);  // kAuto, env says off
-  ASSERT_EQ(unsetenv("LC_REAL"), 0);
-  EXPECT_FALSE(env_engine.uses_real_path());
-  const auto got = env_engine.convolve_subdomain(chunk, corner, tree);
-  const auto sw = want.samples();
-  const auto sg = got.samples();
-  ASSERT_EQ(sw.size(), sg.size());
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    EXPECT_EQ(sw[i], sg[i]) << i;  // bit-exact: identical complex code path
+    SCOPED_TRACE(c);
+    expect_samples_match(a[c],
+                         dense_reference(grid_, *kernel_, chunks[c], corner));
   }
 }
 

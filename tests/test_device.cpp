@@ -76,35 +76,20 @@ TEST(MemoryModel, Table1FormulasMatchPaperRows) {
 
 TEST(MemoryModel, PipelinePlanComponentsAreConsistent) {
   const auto policy = sampling::SamplingPolicy::paper_default(32);
-  // Complex-path pricing (real_path = false): the documented formulas.
-  const PipelinePlan plan =
-      plan_local_pipeline(256, 32, policy, 1024, /*real_path=*/false);
-  EXPECT_EQ(plan.slab_bytes, 16u * 256 * 256 * 32);
+  // The documented formulas: slab and staging planes hold the (n/2+1)·n
+  // bins of the Hermitian half spectrum.
+  const PipelinePlan plan = plan_local_pipeline(256, 32, policy, 1024);
+  EXPECT_EQ(plan.slab_bytes, 16u * 129 * 256 * 32);
+  EXPECT_EQ(plan.staging_bytes % (16u * 129 * 256), 0u);
   EXPECT_EQ(plan.chunk_bytes, 8u * 32 * 32 * 32);
   EXPECT_EQ(plan.pencil_bytes, 2u * 16 * 1024 * 256);
   EXPECT_GT(plan.payload_bytes, 8u * 32 * 32 * 32);  // at least the dense dom
   EXPECT_LT(plan.payload_bytes, 8u * 256 * 256 * 256);  // well below dense N³
   EXPECT_EQ(plan.actual_total(),
             plan.estimated_total() + plan.workspace_bytes);
-  EXPECT_GT(plan.workspace_bytes, 0u);
-}
-
-TEST(MemoryModel, RealPathHalvesSlabAndStagingBytes) {
-  const auto policy = sampling::SamplingPolicy::paper_default(32);
-  const auto cplx_plan =
-      plan_local_pipeline(256, 32, policy, 1024, /*real_path=*/false);
-  const auto real_plan =
-      plan_local_pipeline(256, 32, policy, 1024, /*real_path=*/true);
-  // Half-spectrum planes hold (n/2+1)·n bins instead of n².
-  EXPECT_EQ(real_plan.slab_bytes, 16u * 129 * 256 * 32);
-  EXPECT_EQ(real_plan.staging_bytes,
-            cplx_plan.staging_bytes / (256 * 256) * (129 * 256));
-  // Pencils are full length-N z transforms on both paths.
-  EXPECT_EQ(real_plan.pencil_bytes, cplx_plan.pencil_bytes);
-  // Workspace gains the c2r store lane's N² real plane but still shrinks
-  // overall (the dominant 2× slab term halves).
-  EXPECT_LT(real_plan.workspace_bytes, cplx_plan.workspace_bytes);
-  EXPECT_LT(real_plan.actual_total(), cplx_plan.actual_total());
+  // Workspace: 2× the slab, one pencil batch, the c2r store lane's N² plane.
+  EXPECT_EQ(plan.workspace_bytes,
+            2 * plan.slab_bytes + plan.pencil_bytes / 2 + 8u * 256 * 256);
 }
 
 TEST(MemoryModel, PlanScalesWithGridAndSubdomain) {
@@ -120,10 +105,9 @@ TEST(MemoryModel, PlanScalesWithGridAndSubdomain) {
 TEST(MemoryModel, PaperScalePlanningIsFeasible) {
   // Planning at the paper's largest sizes must run without dense arrays.
   const auto policy = sampling::SamplingPolicy::paper_default(128);
-  const PipelinePlan plan =
-      plan_local_pipeline(8192, 128, policy, 32768, /*real_path=*/false);
-  // Table 1: the slab alone is 64 GB at this shape.
-  EXPECT_EQ(plan.slab_bytes, 16ull * 8192 * 8192 * 128);
+  const PipelinePlan plan = plan_local_pipeline(8192, 128, policy, 32768);
+  // Table 1: the (half-spectrum) slab alone is ~32 GB at this shape.
+  EXPECT_EQ(plan.slab_bytes, 16ull * 4097 * 8192 * 128);
 }
 
 TEST(MemoryModel, MaxAllowableKMatchesTable2Shape) {

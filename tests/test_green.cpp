@@ -2,15 +2,19 @@
 // kernel, and the elastic Green operator of Eqn 3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "fft/convolution.hpp"
+#include "fft/freq.hpp"
 #include "fft/fft3d.hpp"
 #include "green/elastic.hpp"
 #include "green/gaussian.hpp"
 #include "green/kernel.hpp"
 #include "green/poisson.hpp"
+#include "massif/green_operator.hpp"
 
 namespace lc::green {
 namespace {
@@ -107,32 +111,86 @@ TEST(DenseSpectrum, WrapsField) {
   const Grid3 g{4, 4, 4};
   ComplexField f(g);
   f(1, 2, 3) = cplx{5.0, -1.0};
-  const DenseSpectrum spec(std::move(f), "test");
+  f(3, 2, 1) = cplx{5.0, 1.0};  // the mirror bin: f is conjugate-symmetric
+  const DenseSpectrum spec(f, "test");
   EXPECT_EQ(spec.eval({1, 2, 3}, g), (cplx{5.0, -1.0}));
+  EXPECT_EQ(spec.eval({3, 2, 1}, g), (cplx{5.0, 1.0}));
+  EXPECT_EQ(spec.eval({0, 0, 0}, g), (cplx{0.0, 0.0}));
   EXPECT_EQ(spec.name(), "test");
 }
 
-// --- Hermitian predicates & half-spectrum storage (DESIGN.md §16) ---------
+// --- Conjugate symmetry & half-spectrum storage (DESIGN.md §16) -----------
 
-TEST(Hermitian, KernelFlagsAndDenseAutoDetection) {
-  const Grid3 g = Grid3::cube(8);
-  EXPECT_TRUE(GaussianSpectrum(g, 1.0).hermitian());
-  EXPECT_TRUE(PoissonGreenSpectrum().hermitian());
-  EXPECT_TRUE(PoissonGreenSpectrum(/*discrete=*/true).hermitian());
-  // DenseSpectrum has no closed form to reason about, so it scans the
-  // stored bins for conjugate symmetry at construction.
-  EXPECT_TRUE(
-      DenseSpectrum(GaussianSpectrum(g, 1.0).materialize(g), "sym").hermitian());
-  ComplexField f(g);
-  f(1, 0, 0) = cplx{1.0, 2.0};  // mirror bin (7,0,0) left at zero
-  EXPECT_FALSE(DenseSpectrum(std::move(f), "asym").hermitian());
+/// Largest |K(mirror ξ) − conj K(ξ)| over every bin of `g`, relative to
+/// max |K| (0 for a conjugate-symmetric spectrum).
+double conjugate_asymmetry(const KernelSpectrum& k, const Grid3& g) {
+  double worst = 0.0;
+  double scale = 0.0;
+  for_each_point(Box3::of(g), [&](const Index3& p) {
+    const cplx v = k.eval(p, g);
+    scale = std::max(scale, std::abs(v));
+    worst = std::max(worst,
+                     std::abs(k.eval(fft::mirror_bin(p, g), g) - std::conj(v)));
+  });
+  return scale > 0.0 ? worst / scale : worst;
+}
+
+TEST(Hermitian, EverySpectrumIsConjugateSymmetric) {
+  const Lame ref{1.2, 0.9};
+  for (const i64 n : {8, 16}) {
+    SCOPED_TRACE(n);
+    const Grid3 g = Grid3::cube(n);
+    EXPECT_LT(conjugate_asymmetry(GaussianSpectrum(g, 1.0), g), 1e-12);
+    EXPECT_LT(conjugate_asymmetry(PoissonGreenSpectrum(), g), 1e-12);
+    EXPECT_LT(conjugate_asymmetry(PoissonGreenSpectrum(/*discrete=*/true), g),
+              1e-12);
+
+    // A dense spectrum built from an asymmetric field stores its Hermitian
+    // part: the lone bin and its empty mirror each get half of it.
+    ComplexField f(g);
+    f(1, 0, 0) = cplx{1.0, 2.0};  // mirror bin (n-1, 0, 0) left at zero
+    f(0, n / 2, 1) = cplx{3.0, -1.0};  // mirror (0, n/2, n-1) on the half grid
+    const DenseSpectrum asym(f, "asym");
+    EXPECT_LT(conjugate_asymmetry(asym, g), 1e-12);
+    EXPECT_EQ(asym.eval({1, 0, 0}, g), (cplx{0.5, 1.0}));
+    EXPECT_EQ(asym.eval({n - 1, 0, 0}, g), (cplx{0.5, -1.0}));
+    EXPECT_EQ(asym.eval({0, n / 2, n - 1}, g), (cplx{1.5, 0.5}));
+
+    // Γ̂ as evaluated by the MASSIF operators: every Voigt component, and
+    // the six-channel operator at each bin against its mirror bin.
+    for (std::size_t a = 0; a < 6; ++a) {
+      for (std::size_t b = 0; b < 6; ++b) {
+        EXPECT_LT(conjugate_asymmetry(
+                      massif::ElasticGreenComponentKernel(a, b, ref), g),
+                  1e-12)
+            << "gamma[" << a << "][" << b << "]";
+      }
+    }
+    const massif::ElasticGreenOperator op(ref);
+    std::array<cplx, 6> sigma;
+    for (std::size_t a = 0; a < 6; ++a) {
+      sigma[a] = cplx{0.3 + 0.1 * static_cast<double>(a),
+                      -0.2 * static_cast<double>(a)};
+    }
+    double worst = 0.0;
+    for_each_point(Box3::of(g), [&](const Index3& p) {
+      auto at_bin = sigma;
+      op.apply(p, g, at_bin);
+      std::array<cplx, 6> at_mirror;
+      for (std::size_t a = 0; a < 6; ++a) at_mirror[a] = std::conj(sigma[a]);
+      op.apply(fft::mirror_bin(p, g), g, at_mirror);
+      for (std::size_t a = 0; a < 6; ++a) {
+        worst = std::max(worst, std::abs(at_mirror[a] - std::conj(at_bin[a])));
+      }
+    });
+    EXPECT_LT(worst, 1e-12);
+  }
 }
 
 TEST(HalfDenseSpectrum, StoresHalfGridAndMirrorsByConjugation) {
   const Grid3 g = Grid3::cube(8);
   const GaussianSpectrum gauss(g, 1.25);
-  const HalfDenseSpectrum half(gauss.materialize_half(g), g, "gauss-half");
-  EXPECT_TRUE(half.hermitian());
+  const DenseSpectrum half(gauss.materialize(g), "gauss-half");
   EXPECT_EQ(half.half_spectrum().grid().nx, g.nx / 2 + 1);
   EXPECT_EQ(half.half_spectrum().size(),
             static_cast<std::size_t>((g.nx / 2 + 1) * g.ny * g.nz));
@@ -152,10 +210,11 @@ TEST(HalfDenseSpectrum, StoresHalfGridAndMirrorsByConjugation) {
 
 TEST(HalfDenseSpectrum, RejectsWrongShapes) {
   const Grid3 g = Grid3::cube(8);
-  EXPECT_THROW(HalfDenseSpectrum(ComplexField(g), g, "full-sized"),
-               InvalidArgument);
-  const HalfDenseSpectrum half(GaussianSpectrum(g, 1.0).materialize_half(g), g);
+  const DenseSpectrum half(GaussianSpectrum(g, 1.0).materialize(g));
   EXPECT_THROW((void)half.eval({0, 0, 0}, Grid3::cube(16)), InvalidArgument);
+  std::array<cplx, 4> run;
+  EXPECT_THROW(half.eval_z_run({0, 0, 0}, Grid3::cube(16), run),
+               InvalidArgument);
 }
 
 TEST(Poisson, SolvesManufacturedLaplaceProblem) {
