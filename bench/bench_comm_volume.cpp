@@ -73,8 +73,6 @@ int main(int argc, char** argv) {
       params.far_rate = r;
       params.uniform_rate = r;  // uniform exterior → Eqn 6 applies exactly
       params.dense_halo = 0;
-      params.wire = comm::WireCodec::kOff;  // pinned: rows must not depend
-                                            // on the ambient LC_WIRE
       core::LowCommConvolution engine(g, kernel, params);
 
       const obs::CommVolumeReport rep =
@@ -149,7 +147,6 @@ int main(int argc, char** argv) {
     params.far_rate = 2;
     params.uniform_rate = 2;
     params.dense_halo = 0;
-    params.wire = comm::WireCodec::kOff;  // pinned: baselined byte counts
     core::LowCommConvolution engine(g, kernel, params);
 
     bench::JsonTable levels(

@@ -118,8 +118,7 @@ void print_ranked(const planner::PlanRequest& req,
                   const planner::ExecutionPlan& plan, std::size_t top) {
   TextTable table("Ranked candidates, N=" + std::to_string(req.n) + ", P=" +
                   std::to_string(req.ranks) + ", " +
-                  std::to_string(req.topology.nodes()) + " nodes (" +
-                  planner::mode_name(plan.mode) + ")");
+                  std::to_string(req.topology.nodes()) + " nodes");
   table.header({"candidate", "feasible", "mem GB", "pred err", "wire MB",
                 "wire ms", "compute s", "total s", "priced"});
   std::size_t shown = 0;
@@ -314,8 +313,7 @@ int main(int argc, char** argv) {
   const planner::Planner planner;
   const planner::ExecutionPlan plan = planner.plan(req);
 
-  std::printf("pick: %s  (mode %s)\n\n", plan.choice.name().c_str(),
-              planner::mode_name(plan.mode));
+  std::printf("pick: %s\n\n", plan.choice.name().c_str());
   print_ranked(req, plan, 12);
   std::puts("");
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "common/simd.hpp"
 
 namespace lc::comm {
@@ -32,11 +31,6 @@ WireCodec parse_wire_codec(std::string_view value) {
   throw InvalidArgument("wire codec '" + std::string(value) +
                         "' is not a recognised value (expected one of: off "
                         "fp32 fp16 bf16 q16)");
-}
-
-WireCodec wire_codec_from_env() {
-  return kAllWireCodecs[env_choice("LC_WIRE", 0,
-                                   {"off", "fp32", "fp16", "bf16", "q16"})];
 }
 
 // ---------------------------------------------------------------------------

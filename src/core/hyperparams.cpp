@@ -2,39 +2,14 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
 #include "fft/fft1d.hpp"
 
 namespace lc::core {
 
-namespace {
-
-/// actual_total of the local pipeline at (n, k) fits the device — the same
-/// feasibility test device::max_allowable_k applies to its pow2 probes. The
-/// exact plan needs a real octree (pow2 sides only); other n use the
-/// analytic estimate, whose dominant slab / workspace terms are identical.
-bool fits_device(i64 n, i64 k, std::size_t batch,
-                 const device::DeviceSpec& spec) {
-  const i64 rate = device::planning_far_rate(n, k);
-  const auto plan =
-      fft::is_pow2(static_cast<std::size_t>(n))
-          ? device::plan_local_pipeline(
-                n, k, sampling::SamplingPolicy::uniform(rate), batch)
-          : device::estimate_local_pipeline(n, k, rate, batch);
-  return plan.actual_total() <= spec.capacity_bytes;
-}
-
-}  // namespace
-
 std::size_t recommended_batch(i64 n) {
   const auto b = static_cast<std::size_t>(std::max<i64>(n, 1));
   return std::clamp<std::size_t>(fft::next_pow2(b), 512, 32768);
-}
-
-i64 recommended_far_rate(i64 n, i64 k) {
-  LC_CHECK_ARG(k >= 1 && n >= k, "bad (n, k)");
-  const auto ratio = static_cast<i64>(
-      fft::next_pow2(static_cast<std::size_t>(std::max<i64>(n / k, 2))));
-  return std::clamp<i64>(ratio, 2, 32);
 }
 
 std::vector<i64> subdomain_divisors(i64 n) {
@@ -44,38 +19,6 @@ std::vector<i64> subdomain_divisors(i64 n) {
     if (n % k == 0) divs.push_back(k);
   }
   return divs;
-}
-
-HyperparamAdvice select_hyperparams(i64 n, const device::DeviceSpec& spec) {
-  HyperparamAdvice advice;
-  advice.batch = recommended_batch(n);
-  // The pow2 memory probe only works on pow2 grids (its pipeline plans
-  // build real octrees); elsewhere it would also recommend sizes that
-  // cannot divide n.
-  i64 k = fft::is_pow2(static_cast<std::size_t>(n))
-              ? device::max_allowable_k(n, spec, advice.batch)
-              : 0;
-  if (k < 1 || n % k != 0) {
-    // The probe found headroom at a size DomainDecomposition would reject
-    // (k must divide n), or could not run at all; take the largest divisor
-    // that still fits instead.
-    k = 0;
-    for (const i64 d : subdomain_divisors(n)) {
-      if (fits_device(n, d, advice.batch, spec)) {
-        k = d;
-        break;
-      }
-    }
-  }
-  LC_CHECK_ARG(
-      k >= 1,
-      "no sub-domain size k dividing N=" + std::to_string(n) +
-          " fits device '" + spec.name + "' (capacity " +
-          std::to_string(spec.capacity_bytes) +
-          " bytes); reduce N or use a larger device");
-  advice.subdomain = k;
-  advice.far_rate = recommended_far_rate(n, advice.subdomain);
-  return advice;
 }
 
 }  // namespace lc::core

@@ -1,46 +1,27 @@
-// Hyperparameter selection heuristics (paper §5.4).
+// Hyperparameter heuristics (paper §5.4).
 //
 // The paper hand-tunes three knobs: the sub-domain size k (largest slab
 // that fits device memory), the downsampling rate r (problem-size and
-// accuracy dependent; they use r = 4 at N = 128..512 up to r = 32 at
-// N = 1024), and the batch parameter B (hundreds to tens of thousands of
-// pencils, bigger helps until transform concurrency saturates). These
-// helpers encode those rules so callers get sensible defaults, and
+// accuracy dependent), and the batch parameter B (hundreds to tens of
+// thousands of pencils, bigger helps until transform concurrency
+// saturates). The execution planner (planner/planner.hpp) searches k and r;
+// these helpers give it the legal k values and its starting batch, and
 // bench_batch_param ablates B explicitly.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "device/memory_model.hpp"
 #include "tensor/grid.hpp"
 
 namespace lc::core {
-
-/// Suggested hyperparameters for an n³ problem on a given device.
-struct HyperparamAdvice {
-  i64 subdomain = 0;       ///< k
-  i64 far_rate = 0;        ///< coarsest r
-  std::size_t batch = 0;   ///< B
-};
 
 /// Batch heuristic: B grows with the plane size and saturates — the paper
 /// sees 19.9% gains moving 512→1024 at N=256 but only 5-7% at N=2048.
 [[nodiscard]] std::size_t recommended_batch(i64 n);
 
-/// Rate heuristic: coarsen proportionally to N/k (the paper uses r=4 for
-/// N/k = 4..16 and r=32 for N/k = 32), clamped to [2, 32].
-[[nodiscard]] i64 recommended_far_rate(i64 n, i64 k);
-
 /// Divisors of n that are usable sub-domain sizes (2 <= k <= n), descending.
 /// DomainDecomposition requires k | n, so these are the only legal k values.
 [[nodiscard]] std::vector<i64> subdomain_divisors(i64 n);
-
-/// Full advice: k maximised against device capacity, then r and B derived.
-/// The returned k always divides n (the pow2 memory probe can land on a k
-/// that DomainDecomposition would reject for non-pow2 n; this falls back to
-/// the largest memory-feasible divisor instead) and throws InvalidArgument
-/// with a capacity message when no divisor fits the device.
-[[nodiscard]] HyperparamAdvice select_hyperparams(
-    i64 n, const device::DeviceSpec& spec);
 
 }  // namespace lc::core

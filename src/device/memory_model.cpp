@@ -71,32 +71,6 @@ PipelinePlan plan_local_pipeline(i64 n, i64 k,
   return plan;
 }
 
-PipelinePlan estimate_local_pipeline(i64 n, i64 k, i64 far_rate,
-                                     std::size_t batch) {
-  LC_CHECK_ARG(k >= 1 && k <= n, "sub-domain size outside grid");
-  LC_CHECK_ARG(far_rate >= 1, "far rate must be >= 1");
-  const auto r = static_cast<std::size_t>(far_rate);
-
-  PipelinePlan plan;
-  plan.chunk_bytes = kReal * cube(k);
-  plan.slab_bytes = local_fft_spectrum_bytes(n, k);
-  // Dense core planes plus one exterior plane every r grid planes.
-  const std::size_t planes =
-      std::min(static_cast<std::size_t>(n),
-               static_cast<std::size_t>(k) +
-                   (static_cast<std::size_t>(n - k) + r - 1) / r + 1);
-  plan.staging_bytes = kComplex * spec_plane_elems(n) * planes;
-  plan.pencil_bytes = 2 * kComplex * batch * static_cast<std::size_t>(n);
-  // Eqn 6: the dense k³ core plus the rate-r downsampled exterior.
-  plan.payload_bytes =
-      kReal * (cube(k) + (cube(n) - cube(k)) / (r * r * r));
-  const std::size_t tile = static_cast<std::size_t>(std::max(k, far_rate));
-  plan.metadata_bytes =
-      (cube(n) / (tile * tile * tile) + 64) * 5 * sizeof(std::int32_t);
-  plan.workspace_bytes = plan_workspace_bytes(plan, n);
-  return plan;
-}
-
 i64 planning_far_rate(i64 n, i64 k) {
   LC_CHECK_ARG(k >= 1 && n >= k, "bad (n, k)");
   std::size_t r = 2;

@@ -61,17 +61,6 @@ struct PipelinePlan {
 [[nodiscard]] PipelinePlan plan_local_pipeline(
     i64 n, i64 k, const sampling::SamplingPolicy& policy, std::size_t batch);
 
-/// Octree-free analytic variant of plan_local_pipeline for ANY grid side
-/// (the real octree requires a power-of-two n): payload from the uniform
-/// Eqn 6 closed form k³ + (n³−k³)/r³, retained planes from the dense core
-/// plus the rate-r exterior, cell metadata from the coarse tiling. The
-/// dominant slab / pencil / workspace terms are identical to the exact
-/// plan's. Used where n may not be a power of two (the divisor fallback in
-/// core::select_hyperparams).
-[[nodiscard]] PipelinePlan estimate_local_pipeline(i64 n, i64 k,
-                                                   i64 far_rate,
-                                                   std::size_t batch);
-
 /// Planning downsampling rate: the paper coarsens r with the problem ratio
 /// (r = 4 at N/k = 4 up to r = 128 at N = 2048 in Table 4). Clamped to
 /// [2, 128].

@@ -41,8 +41,8 @@ struct CommVolumeReport {
   std::size_t unique_bytes = 0;   ///< Σ_d Σ_cells (side/rate)³ · 8
   std::size_t wire_bytes = 0;     ///< exchange bytes incl. cell fanout
 
-  // Wire-codec accounting (DESIGN.md §17). `codec` is the engine's active
-  // LC_WIRE codec; wire_bytes above is already priced under it.
+  // Wire-codec accounting (DESIGN.md §17). `codec` is the engine's
+  // params.wire; wire_bytes above is already priced under it.
   // `encoded_payload_bytes` re-prices payload_bytes under the codec (every
   // sample once per sub-domain, per-cell q16 scale headers included), so
   // measured-vs-model rows stay truthful when samples no longer cost 8

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <string_view>
 
 #include "common/check.hpp"
-#include "common/runtime_flags.hpp"
 #include "core/hyperparams.hpp"
 #include "device/memory_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "planner/calibration.hpp"
-#include "planner/probe.hpp"
 #include "sampling/octree.hpp"
 
 namespace lc::planner {
@@ -27,7 +22,6 @@ struct PlannerMetrics {
       obs::Registry::global().counter("planner.candidates");
   obs::Counter& exact_priced =
       obs::Registry::global().counter("planner.exact_priced");
-  obs::Counter& probes = obs::Registry::global().counter("planner.probes");
 
   static PlannerMetrics& get() {
     static PlannerMetrics m;
@@ -225,39 +219,6 @@ bool better(const RankedCandidate& a, const RankedCandidate& b) {
 
 }  // namespace
 
-Mode mode_from_env() {
-  switch (env_choice("LC_PLANNER", 0, {"analytic", "off", "probe"})) {
-    case 1:
-      return Mode::kOff;
-    case 2:
-      return Mode::kProbe;
-    default:
-      return Mode::kAnalytic;
-  }
-}
-
-std::vector<comm::WireCodec> default_codec_grid() {
-  if (std::getenv("LC_WIRE") != nullptr) {
-    // Explicitly pinned wire format: plan only under it (and let a bad
-    // spelling throw the same error every other LC_WIRE reader raises).
-    return {comm::wire_codec_from_env()};
-  }
-  return {comm::WireCodec::kOff, comm::WireCodec::kFp32,
-          comm::WireCodec::kBf16, comm::WireCodec::kQ16};
-}
-
-const char* mode_name(Mode mode) {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kProbe:
-      return "probe";
-    case Mode::kAnalytic:
-      break;
-  }
-  return "analytic";
-}
-
 std::string Candidate::name() const {
   if (kind == DecompKind::kSlab) return "slab-fft";
   if (kind == DecompKind::kPencil) return "pencil-fft";
@@ -318,7 +279,7 @@ std::vector<RankedCandidate> Planner::enumerate(
       c.schedule = sched;
       c.route = route;
       c.params = p;
-      out.push_back(RankedCandidate{c, price_block(req, c, shape), 0.0});
+      out.push_back(RankedCandidate{c, price_block(req, c, shape)});
     }
   };
 
@@ -365,7 +326,7 @@ std::vector<RankedCandidate> Planner::enumerate(
       for (const DecompKind kind : {DecompKind::kSlab, DecompKind::kPencil}) {
         Candidate c;
         c.kind = kind;
-        out.push_back(RankedCandidate{c, price_baseline(req, kind), 0.0});
+        out.push_back(RankedCandidate{c, price_baseline(req, kind)});
       }
     }
   }
@@ -399,69 +360,34 @@ std::vector<RankedCandidate> Planner::enumerate(
 ExecutionPlan Planner::plan(const PlanRequest& req) const {
   LC_TRACE("planner.plan");
   std::vector<RankedCandidate> ranked = enumerate(req);
-  const auto executable = [](const RankedCandidate& rc) {
-    return rc.candidate.kind == DecompKind::kBlock && rc.cost.feasible;
-  };
-  std::size_t best = ranked.size();
-  for (std::size_t i = 0; i < ranked.size(); ++i) {
-    if (executable(ranked[i])) {
-      best = i;
-      break;
-    }
-  }
+  const auto best = std::find_if(
+      ranked.begin(), ranked.end(), [](const RankedCandidate& rc) {
+        return rc.candidate.kind == DecompKind::kBlock && rc.cost.feasible;
+      });
   LC_CHECK_ARG(
-      best < ranked.size(),
+      best != ranked.end(),
       "planner found no feasible block plan for N=" + std::to_string(req.n) +
           " on device '" + req.device.name + "' at rel-error target " +
           std::to_string(req.max_rel_error) +
           " — relax the accuracy target or use a larger device");
 
-  if (config_.mode == Mode::kProbe) {
-    // Short real micro-runs of the top candidates; the pick becomes
-    // measured compute + modeled wire (wire cannot be executed without a
-    // cluster, and the static mirror is already byte-exact).
-    const ProbeFn probe =
-        config_.probe ? config_.probe : ProbeFn(probe_block_seconds);
-    double best_total = std::numeric_limits<double>::infinity();
-    std::size_t probed = 0;
-    for (std::size_t i = 0;
-         i < ranked.size() && probed < config_.probe_top; ++i) {
-      if (!executable(ranked[i])) continue;
-      ranked[i].probed_seconds = probe(req, ranked[i].candidate);
-      PlannerMetrics::get().probes.add(1);
-      ++probed;
-      const double total =
-          ranked[i].probed_seconds + ranked[i].cost.wire.total_seconds();
-      if (total < best_total) {
-        best_total = total;
-        best = i;
-      }
-    }
-  }
-
   ExecutionPlan plan;
-  plan.choice = ranked[best].candidate;
-  plan.cost = ranked[best].cost;
-  plan.probed_seconds = ranked[best].probed_seconds;
-  plan.mode = config_.mode;
+  plan.choice = best->candidate;
+  plan.cost = best->cost;
   plan.ranked = std::move(ranked);
   PlannerMetrics::get().plans.add(1);
   return plan;
 }
 
-std::string cache_key(const PlanRequest& req, Mode mode) {
+std::string cache_key(const PlanRequest& req) {
   // "execplan/" keeps this namespace disjoint from the service's FFT-plan
   // entries ("plan/n=<n>") in the same ResourceCache.
   std::string key = "execplan/n=" + std::to_string(req.n);
-  // The request's base codec seeds the candidate grid (LC_WIRE pins it), so
-  // cached plans must not leak across codec changes.
-  key += std::string("/wire=") + comm::codec_name(req.base.wire);
   key += "/p=" + std::to_string(req.ranks);
   key += "/nodes=" + std::to_string(req.topology.nodes());
   key += "/dev=" + req.device.name + ":" +
          std::to_string(req.device.capacity_bytes);
   key += "/acc=" + std::to_string(req.max_rel_error);
-  key += "/mode=" + std::string(mode_name(mode));
   // Salt with the active calibration: a new fit must invalidate cached
   // plans priced under the old rates.
   key += "/cal=" + calibration_from_env().cache_salt();
@@ -476,7 +402,12 @@ std::string cache_key(const PlanRequest& req, Mode mode) {
            "i" + std::to_string(static_cast<int>(p.interpolation)) + "w" +
            comm::codec_name(p.wire);
   } else {
-    key += "/pin=-";
+    // enumerate() copies these template fields into every candidate, so
+    // requests that differ in them must not share a plan.
+    const core::LowCommParams& b = req.base;
+    key += "/pin=-/bb" + std::to_string(b.boundary_band) + "dh" +
+           std::to_string(b.dense_halo) + "i" +
+           std::to_string(static_cast<int>(b.interpolation));
   }
   return key;
 }

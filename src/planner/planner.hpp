@@ -10,7 +10,7 @@
 //
 //   1. enumerates candidates: k³ block decompositions over the divisors of
 //      N × {banded, uniform} octree rate schedules × {flat, hierarchical}
-//      exchange routes × wire codecs (LC_WIRE, DESIGN.md §17), plus
+//      exchange routes × wire codecs (DESIGN.md §17), plus
 //      slab/pencil variants of the baseline distributed FFT for comparison;
 //   2. prices each with the analytic models: Eqn 6 volume (per-sub-domain
 //      retained samples from a real metadata-only octree), Eqn 2 per-level
@@ -20,17 +20,15 @@
 //   3. re-prices the closed-form shortlist with the EXACT static traffic
 //      mirror (core::lowcomm_exchange_traffic over the real octrees — the
 //      same numbers a SimCluster run records);
-//   4. in probe mode, runs short real micro-runs of the top candidates and
-//      picks by measured compute + modeled wire time;
-//   5. emits a ranked ExecutionPlan with predicted (and probed) costs.
+//   4. emits a ranked ExecutionPlan with predicted costs.
 //
-// Winning plans are cached by the runtime layer (runtime/plan_provider.hpp)
-// in the ResourceCache keyed by (shape, topology, device, accuracy, mode).
-// The LC_PLANNER environment variable (off | analytic | probe) selects the
-// mode process-wide; `off` bypasses planning entirely.
+// Measured run times reach the pricing through calibration
+// (planner/calibration.hpp), which fits the compute rate and link model
+// from executed plan-vs-actual records. Winning plans are cached by the
+// runtime layer (runtime/plan_provider.hpp) in the ResourceCache keyed by
+// (shape, request template, topology, device, accuracy, calibration).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,17 +40,6 @@
 #include "device/device.hpp"
 
 namespace lc::planner {
-
-/// Planner operating mode (LC_PLANNER escape hatch).
-enum class Mode {
-  kOff,       ///< bypass the planner; callers use their own static params
-  kAnalytic,  ///< model-only pricing (default)
-  kProbe,     ///< analytic + real micro-runs of the top candidates
-};
-
-/// LC_PLANNER=off|analytic|probe (unset or unrecognised → analytic).
-[[nodiscard]] Mode mode_from_env();
-[[nodiscard]] const char* mode_name(Mode mode);
 
 /// Decomposition family of a candidate.
 enum class DecompKind {
@@ -115,19 +102,16 @@ struct CandidateCost {
   }
 };
 
-/// A candidate with its price (and probe measurement, when probed).
+/// A candidate with its price.
 struct RankedCandidate {
   Candidate candidate;
   CandidateCost cost;
-  double probed_seconds = 0.0;  ///< measured compute; 0 = not probed
 };
 
 /// The planner's output: the selected plan plus the full ranking.
 struct ExecutionPlan {
   Candidate choice;         ///< best feasible kBlock candidate
   CandidateCost cost;       ///< its price
-  double probed_seconds = 0.0;
-  Mode mode = Mode::kAnalytic;
   std::vector<RankedCandidate> ranked;  ///< all candidates, best first
 
   [[nodiscard]] const core::LowCommParams& params() const noexcept {
@@ -138,39 +122,26 @@ struct ExecutionPlan {
   }
 };
 
-/// Probe hook: measured per-rank compute seconds for a candidate. The
-/// default (probe.hpp) times a real single-sub-domain micro-run; tests
-/// inject deterministic stubs.
-using ProbeFn = std::function<double(const PlanRequest&, const Candidate&)>;
-
-/// Wire codecs the planner enumerates as a plan dimension. When LC_WIRE is
-/// explicitly set the grid collapses to that single codec (the operator
-/// pinned the wire format; the planner must not override it). Otherwise it
-/// spans the useful spectrum: off (bit-exact), fp32, bf16, q16. fp16 is
-/// excluded from the default grid because its ±65504 range clamp makes its
-/// error data-dependent; it stays selectable via LC_WIRE=fp16.
-[[nodiscard]] std::vector<comm::WireCodec> default_codec_grid();
-
 /// Planner tuning knobs.
 struct PlannerConfig {
-  Mode mode = Mode::kAnalytic;
   /// Exterior rates tried per (k, schedule). Rates above the accuracy
   /// target's tolerance are marked infeasible, not silently dropped.
   std::vector<i64> rate_grid = {2, 4, 8, 16, 32};
   /// Wire codecs tried per (k, schedule, r) block candidate; each one's
   /// quantization error joins the accuracy screen and its wire bytes the
-  /// α-β pricing. See default_codec_grid().
-  std::vector<comm::WireCodec> codec_grid = default_codec_grid();
+  /// α-β pricing. The default spans the useful spectrum: off (bit-exact),
+  /// fp32, bf16, q16. fp16 is left out because its ±65504 range clamp
+  /// makes its error data-dependent; a one-codec grid (or explicit
+  /// `LowCommParams::wire` on a pinned request) fixes the wire format.
+  std::vector<comm::WireCodec> codec_grid = {
+      comm::WireCodec::kOff, comm::WireCodec::kFp32, comm::WireCodec::kBf16,
+      comm::WireCodec::kQ16};
   i64 min_subdomain = 4;
   /// Closed-form shortlist size re-priced with the exact traffic mirror.
   std::size_t exact_top = 4;
-  /// Feasible block candidates micro-probed in kProbe mode.
-  std::size_t probe_top = 3;
   /// Include slab/pencil baseline-FFT rows in the ranking (informational;
   /// the selected plan is always a block candidate).
   bool include_baselines = true;
-  /// Probe implementation (defaults to probe_block_seconds).
-  ProbeFn probe;
 };
 
 /// The planner. Stateless between calls; cheap to construct.
@@ -195,9 +166,10 @@ class Planner {
 };
 
 /// ResourceCache key for a request: (shape, topology, device, accuracy,
-/// mode, pinned knobs). Kernel-independent by design — plans are shared
+/// calibration, pinned knobs — or, unpinned, the template fields every
+/// candidate inherits). Kernel-independent by design — plans are shared
 /// across kernels because no cost model term depends on the kernel.
-[[nodiscard]] std::string cache_key(const PlanRequest& request, Mode mode);
+[[nodiscard]] std::string cache_key(const PlanRequest& request);
 
 /// Closed-form accuracy heuristic (monotone increasing in the exterior
 /// rate, decreasing in N/k): the planning-side stand-in for the paper's

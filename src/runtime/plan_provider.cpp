@@ -12,7 +12,7 @@ std::shared_ptr<const planner::ExecutionPlan> plan_cached(
   static obs::Counter& misses =
       obs::Registry::global().counter("planner.cache_misses");
 
-  const std::string key = planner::cache_key(request, planner.config().mode);
+  const std::string key = planner::cache_key(request);
   // Plans are small (the ranked list dominates); accounted at a flat
   // estimate like the octree entries.
   const std::size_t bytes = sizeof(planner::ExecutionPlan) + 8192;

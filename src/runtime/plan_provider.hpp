@@ -1,8 +1,8 @@
 // Cached planner lookups for the serving runtime: winning ExecutionPlans
 // live in the same ResourceCache as FFT plans / octrees / engines, keyed by
-// planner::cache_key (shape, topology, device, accuracy, mode, pinned
-// knobs). A warm lookup skips candidate enumeration entirely — observable
-// via the "planner.cache_hits" counter.
+// planner::cache_key (shape, request template, topology, device, accuracy,
+// calibration, pinned knobs). A warm lookup skips candidate enumeration
+// entirely — observable via the "planner.cache_hits" counter.
 #pragma once
 
 #include <memory>

@@ -73,7 +73,7 @@ std::string engine_key_of(const ConvolutionRequest& request) {
          (p.uniform_rate ? std::to_string(*p.uniform_rate) : std::string("-"));
   // Single-process convolves never hit the wire, but the engine's reported
   // exchanged_bytes (and cached LowCommResults derived from this key) are
-  // priced under the codec — don't share them across LC_WIRE changes.
+  // priced under the codec — don't share them across codecs.
   key += std::string("/wire=") + comm::codec_name(p.wire);
   key += "/kernel=" + request.kernel->cache_key();
   return key;
@@ -119,9 +119,10 @@ struct ConvolutionService::Job {
   RequestStats stats;
   std::string engine_key;
   std::string result_key;  // empty when result caching is off
-  // The resolved execution plan (null under planner::Mode::kOff) and the
-  // compute rate its price was quoted at — the plan-vs-actual telemetry
-  // pairs these with the realized run time at response delivery.
+  // The resolved execution plan (set at admission for every request that
+  // gets past its deadline) and the compute rate its price was quoted at —
+  // the plan-vs-actual telemetry pairs these with the realized run time at
+  // response delivery.
   std::shared_ptr<const planner::ExecutionPlan> plan;
   double plan_rate_pps = 0.0;
   std::shared_ptr<const core::LowCommConvolution> engine;
@@ -160,11 +161,6 @@ ConvolutionService::ConvolutionService(ServiceConfig config)
                }
              }),
       cache_(ResourceCache::Config{config.cache_budget_bytes, &device_, 16}),
-      planner_([&config] {
-        planner::PlannerConfig pc;
-        pc.mode = config.planner_mode;
-        return planner::Planner(pc);
-      }()),
       paused_(config.start_paused) {
   LC_CHECK_ARG(config_.queue_capacity >= 1, "queue capacity must be >= 1");
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -281,24 +277,6 @@ ConvolutionService::engine_for(const ConvolutionRequest& request,
                                bool& cache_hit) {
   const Grid3& grid = request.input.grid();
 
-  // A materialised spectrum is stored as its (nx/2+1)·ny·nz half grid —
-  // all the half-spectrum pipeline reads.
-  std::shared_ptr<const green::KernelSpectrum> kernel = request.kernel;
-  if (config_.materialize_spectra) {
-    const std::string spectrum_key =
-        "spectrum/n=" + std::to_string(grid.nx) +
-        "/kernel=" + kernel->cache_key();
-    const Grid3 half{grid.nx / 2 + 1, grid.ny, grid.nz};
-    const std::size_t bytes = half.size() * sizeof(std::complex<double>) +
-                              sizeof(green::DenseSpectrum);
-    kernel = cache_.get_or_build<green::DenseSpectrum>(
-        spectrum_key, bytes,
-        [&]() -> std::shared_ptr<const green::DenseSpectrum> {
-          return std::make_shared<green::DenseSpectrum>(
-              request.kernel->materialize(grid), request.kernel->name());
-        });
-  }
-
   // The length-N plans are the most reusable resources of all: every engine
   // over an N³ grid shares them, whatever its kernel or sampling policy.
   // The r2c/c2r plan's embedded half-length complex plan is its heavy part.
@@ -314,8 +292,8 @@ ConvolutionService::engine_for(const ConvolutionRequest& request,
         return std::make_shared<fft::RealFft1D>(n);
       });
 
-  // Engines are accounted at metadata size only: their heavy parts (plan,
-  // spectrum, octrees) are separate cache entries with their own budgets.
+  // Engines are accounted at metadata size only: their heavy parts (plans,
+  // octrees) are separate cache entries with their own budgets.
   const auto params = request.params;
   const std::size_t engine_bytes =
       sizeof(core::LowCommConvolution) + 4096;
@@ -334,8 +312,8 @@ ConvolutionService::engine_for(const ConvolutionRequest& request,
         cfg.arena = &arena_;
         cfg.plan = plan;
         cfg.real_plan = real_plan;
-        return std::make_shared<core::LowCommConvolution>(grid, kernel,
-                                                          params, cfg);
+        return std::make_shared<core::LowCommConvolution>(
+            grid, request.kernel, params, cfg);
       });
   cache_hit = !built;
   return engine;
@@ -364,29 +342,26 @@ void ConvolutionService::run_wave(Wave& wave) {
     }
 
     try {
-      if (config_.planner_mode != planner::Mode::kOff) {
-        // Resolve the request's params through the planner: explicit params
-        // are validated / repaired, subdomain == 0 asks for a full search.
-        // Keyed cache lookup — repeat shapes skip enumeration entirely.
-        planner::PlanRequest preq;
-        preq.n = job->request.input.grid().nx;
-        preq.device = config_.device;
-        preq.base = job->request.params;
-        if (job->request.params.subdomain != 0) {
-          preq.pinned = job->request.params;
-        }
-        const auto plan =
-            plan_cached(cache_, planner_, preq, &job->stats.plan_cache_hit);
-        job->request.params = plan->params();
-        job->plan = plan;
-        // The rate the plan's compute price is quoted at: the request
-        // default unless a calibration fit overrides it (plan cache keys
-        // are salted with the calibration, so a cached plan always matches
-        // the currently loaded fit).
-        job->plan_rate_pps =
-            planner::apply_calibration(preq, planner::calibration_from_env())
-                .compute_rate_pps;
+      // Resolve the request's params through the planner: explicit params
+      // are validated / repaired, subdomain == 0 asks for a full search.
+      // Keyed cache lookup — repeat shapes skip enumeration entirely.
+      planner::PlanRequest preq;
+      preq.n = job->request.input.grid().nx;
+      preq.device = config_.device;
+      preq.base = job->request.params;
+      if (job->request.params.subdomain != 0) {
+        preq.pinned = job->request.params;
       }
+      job->plan =
+          plan_cached(cache_, planner_, preq, &job->stats.plan_cache_hit);
+      job->request.params = job->plan->params();
+      // The rate the plan's compute price is quoted at: the request
+      // default unless a calibration fit overrides it (plan cache keys
+      // are salted with the calibration, so a cached plan always matches
+      // the currently loaded fit).
+      job->plan_rate_pps =
+          planner::apply_calibration(preq, planner::calibration_from_env())
+              .compute_rate_pps;
       job->engine_key = engine_key_of(job->request);
       if (config_.cache_results) {
         std::string scope = "full";
@@ -451,15 +426,13 @@ void ConvolutionService::run_wave(Wave& wave) {
         }
       }
       job->stats.subdomains = job->subdomains.size();
-      if (job->plan != nullptr && decomp.count() > 0) {
-        // The plan prices the full decomposition (its single-rank request
-        // owns every sub-domain); a sub-domain-scoped request executes only
-        // its share of that work.
-        job->stats.predicted_seconds =
-            job->plan->cost.compute_seconds *
-            static_cast<double>(job->subdomains.size()) /
-            static_cast<double>(decomp.count());
-      }
+      // The plan prices the full decomposition (its single-rank request
+      // owns every sub-domain); a sub-domain-scoped request executes only
+      // its share of that work.
+      job->stats.predicted_seconds =
+          job->plan->cost.compute_seconds *
+          static_cast<double>(job->subdomains.size()) /
+          static_cast<double>(decomp.count());
       job->slots.resize(job->subdomains.size());
     } catch (...) {
       std::lock_guard lock(mutex_);
@@ -650,44 +623,42 @@ void ConvolutionService::run_wave(Wave& wave) {
     if (const double ratio = job->stats.pred_over_actual(); ratio > 0.0) {
       drift_hist_.record(ratio);
     }
-    if (job->plan != nullptr) {
-      // Plan-vs-actual record for the serving path (result-cache hits and
-      // planner-off requests never reach here — nothing was predicted).
-      // Ranks/nodes are 1: the service convolves locally; its records feed
-      // the drift gauges and digests but not the distributed-rate fit.
-      obs::PlanOutcome rec;
-      rec.source = "service";
-      const core::LowCommParams& p = job->request.params;
-      rec.n = job->request.input.grid().nx;
-      rec.ranks = 1;
-      rec.nodes = 1;
-      rec.k = p.subdomain;
-      rec.far_rate = static_cast<int>(p.far_rate);
-      rec.schedule =
-          job->plan->choice.schedule == planner::RateSchedule::kUniform
-              ? "uniform"
-              : "banded";
-      rec.route = "local";
-      rec.wire = comm::codec_name(p.wire);
-      rec.batch = p.batch;
-      rec.pred_compute_s = job->stats.predicted_seconds;
-      rec.pred_rate_pps = job->plan_rate_pps;
-      rec.pred_point_passes =
-          job->stats.predicted_seconds * job->plan_rate_pps;
-      rec.pred_wire_s = job->plan->cost.wire.total_seconds();
-      rec.pred_intra_s = job->plan->cost.wire.intra_seconds;
-      rec.pred_inter_s = job->plan->cost.wire.inter_seconds;
-      rec.pred_bytes =
-          static_cast<std::int64_t>(job->plan->cost.exchange_bytes);
-      rec.pred_memory_b =
-          static_cast<std::int64_t>(job->plan->cost.memory_bytes);
-      rec.pred_rel_error = job->plan->cost.predicted_rel_error;
-      rec.meas_wall_s = job->stats.queue_seconds + job->stats.run_seconds;
-      rec.meas_compute_s = job->stats.measured_seconds;
-      rec.meas_memory_peak_b =
-          static_cast<std::int64_t>(device_.peak_bytes());
-      obs::record_plan_outcome(rec);
-    }
+    // Plan-vs-actual record for the serving path (result-cache hits never
+    // reach here — nothing ran). Ranks/nodes are 1: the service convolves
+    // locally; its records feed the drift gauges and digests but not the
+    // distributed-rate fit.
+    obs::PlanOutcome rec;
+    rec.source = "service";
+    const core::LowCommParams& p = job->request.params;
+    rec.n = job->request.input.grid().nx;
+    rec.ranks = 1;
+    rec.nodes = 1;
+    rec.k = p.subdomain;
+    rec.far_rate = static_cast<int>(p.far_rate);
+    rec.schedule =
+        job->plan->choice.schedule == planner::RateSchedule::kUniform
+            ? "uniform"
+            : "banded";
+    rec.route = "local";
+    rec.wire = comm::codec_name(p.wire);
+    rec.batch = p.batch;
+    rec.pred_compute_s = job->stats.predicted_seconds;
+    rec.pred_rate_pps = job->plan_rate_pps;
+    rec.pred_point_passes =
+        job->stats.predicted_seconds * job->plan_rate_pps;
+    rec.pred_wire_s = job->plan->cost.wire.total_seconds();
+    rec.pred_intra_s = job->plan->cost.wire.intra_seconds;
+    rec.pred_inter_s = job->plan->cost.wire.inter_seconds;
+    rec.pred_bytes =
+        static_cast<std::int64_t>(job->plan->cost.exchange_bytes);
+    rec.pred_memory_b =
+        static_cast<std::int64_t>(job->plan->cost.memory_bytes);
+    rec.pred_rel_error = job->plan->cost.predicted_rel_error;
+    rec.meas_wall_s = job->stats.queue_seconds + job->stats.run_seconds;
+    rec.meas_compute_s = job->stats.measured_seconds;
+    rec.meas_memory_peak_b =
+        static_cast<std::int64_t>(device_.peak_bytes());
+    obs::record_plan_outcome(rec);
     latency_hist_.record(job->stats.queue_seconds + job->stats.run_seconds);
     if (job->enqueue_ns != 0 && obs::Tracer::global().enabled()) {
       obs::Tracer::global().record(

@@ -7,8 +7,8 @@
 // all of that setup is redundant across calls. The service owns the pieces
 // that make repeat requests cheap:
 //
-//   * a keyed ResourceCache of FFT plans (+ twiddle tables), per-sub-domain
-//     octrees, materialised kernel spectra, whole convolution engines, and
+//   * a keyed ResourceCache of execution plans, FFT plans (+ twiddle
+//     tables), per-sub-domain octrees, whole convolution engines, and
 //     content-addressed results — built once under striped mutexes and
 //     LRU-evicted against a byte budget that is mirrored into the
 //     simulated device's capacity accounting;
@@ -62,27 +62,15 @@ struct ServiceConfig {
   /// Max requests drained into one dispatch wave (their sub-domain tasks
   /// share the wave's parallel_for). 0 → drain everything available.
   std::size_t max_wave = 8;
-  /// Byte budget of the plan/octree/spectrum/engine/result cache.
+  /// Byte budget of the plan/octree/engine/result cache.
   std::size_t cache_budget_bytes = 512ull << 20;
   /// Idle bytes the workspace arena may retain between requests.
   std::size_t arena_retain_bytes = 256ull << 20;
   /// Memoise full responses by content hash (exact-replay hits skip the
   /// pipeline entirely — the serving layer's biggest win).
   bool cache_results = true;
-  /// Materialise kernel spectra into cached dense tables instead of
-  /// evaluating the closed form per bin (trades device bytes for per-bin
-  /// work; only worth it for expensive kernels).
-  bool materialize_spectra = false;
   /// Simulated device the service accounts all resident bytes against.
   device::DeviceSpec device = device::DeviceSpec::unlimited();
-  /// Execution-planner mode (defaults to the LC_PLANNER environment
-  /// variable). kOff dispatches every request with exactly its own params —
-  /// the pre-planner behaviour, bit for bit. Otherwise request params are
-  /// resolved through the planner first: explicit params are validated /
-  /// repaired (an illegal k that does not divide N, an over-budget batch),
-  /// and `params.subdomain == 0` asks for a full auto-tuned plan. Winning
-  /// plans are cached in the resource cache (runtime/plan_provider.hpp).
-  planner::Mode planner_mode = planner::mode_from_env();
   /// Pool the dispatch waves fan out on (nullptr → serial waves).
   ThreadPool* pool = &ThreadPool::global();
   /// Start with dispatch paused (deterministic admission tests).
@@ -94,6 +82,14 @@ struct ServiceConfig {
 /// the response output is the accumulated tile over its box (the
 /// distributed serving pattern: each worker requests only the regions it
 /// owns).
+///
+/// Every request's params are resolved through the execution planner
+/// before dispatch: explicit params are validated / repaired (an illegal k
+/// that does not divide N, an over-budget batch) and otherwise run as
+/// given; `params.subdomain == 0` asks for a full auto-tuned plan that
+/// keeps the request's interpolation, boundary band and dense halo.
+/// Winning plans are cached in the resource cache
+/// (runtime/plan_provider.hpp).
 struct ConvolutionRequest {
   RealField input;
   std::shared_ptr<const green::KernelSpectrum> kernel;
@@ -109,8 +105,8 @@ struct RequestStats {
   double queue_seconds = 0.0;   ///< admission → wave pickup
   double run_seconds = 0.0;     ///< wave pickup → response ready
   /// Planner-modeled seconds for this request's share of the plan (its
-  /// sub-domain count over the full decomposition). 0 when the planner is
-  /// off or the response came from the result cache.
+  /// sub-domain count over the full decomposition). 0 when the response
+  /// came from the result cache.
   double predicted_seconds = 0.0;
   /// Realized seconds the prediction is compared against (run_seconds for
   /// executed requests; 0 for result-cache hits, which ran nothing).

@@ -15,6 +15,7 @@
 #include "core/decomposition.hpp"
 #include "core/hyperparams.hpp"
 #include "core/pipeline.hpp"
+#include "device/memory_model.hpp"
 #include "fft/convolution.hpp"
 #include "green/gaussian.hpp"
 #include "green/poisson.hpp"
@@ -89,33 +90,6 @@ TEST(Hyperparams, SubdomainDivisorsDescendAndDivide) {
     EXPECT_GT(divs[i], divs[i + 1]);
   }
   for (const i64 k : divs) EXPECT_EQ(96 % k, 0);
-}
-
-TEST(Hyperparams, SelectedSubdomainAlwaysDividesN) {
-  // N = 96 on an unlimited device: the pow2 memory probe reports 64, which
-  // does not divide 96 — the advice must fall back to a real divisor, not
-  // hand DomainDecomposition an illegal k.
-  for (const i64 n : {i64{96}, i64{72}, i64{128}, i64{48}}) {
-    const auto advice =
-        core::select_hyperparams(n, device::DeviceSpec::unlimited());
-    EXPECT_GE(advice.subdomain, 1);
-    EXPECT_EQ(n % advice.subdomain, 0)
-        << "k=" << advice.subdomain << " does not divide N=" << n;
-    const DomainDecomposition d(Grid3::cube(n), advice.subdomain);
-    EXPECT_GE(d.count(), 1u);
-  }
-}
-
-TEST(Hyperparams, ImpossibleDeviceGivesClearError) {
-  const device::DeviceSpec tiny{"toy", 1024};
-  try {
-    (void)core::select_hyperparams(4096, tiny);
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("toy"), std::string::npos);
-    EXPECT_NE(what.find("4096"), std::string::npos);
-  }
 }
 
 TEST(Decomposition, RejectsIndivisibleShapes) {
@@ -567,34 +541,6 @@ TEST(Hyperparams, BatchRecommendationClampsAndGrows) {
   EXPECT_GE(recommended_batch(2048), recommended_batch(256));
 }
 
-TEST(Hyperparams, FarRateFollowsProblemRatio) {
-  EXPECT_EQ(recommended_far_rate(128, 32), 4);
-  EXPECT_EQ(recommended_far_rate(1024, 32), 32);
-  EXPECT_EQ(recommended_far_rate(64, 64), 2);   // clamp low
-  EXPECT_EQ(recommended_far_rate(8192, 32), 32);  // clamp high
-}
-
-TEST(Hyperparams, FarRateBoundaryCases) {
-  // N == k: one sub-domain covers everything; the ratio floors at the
-  // clamp's low end rather than degenerating to 1.
-  EXPECT_EQ(recommended_far_rate(32, 32), 2);
-  EXPECT_EQ(recommended_far_rate(1, 1), 2);
-  // k not dividing N: the heuristic works off the integer ratio; a 3:1
-  // split rounds up to the next power of two.
-  EXPECT_EQ(recommended_far_rate(96, 32), 4);   // 96/32 = 3 → 4
-  EXPECT_EQ(recommended_far_rate(100, 32), 4);  // 100/32 = 3 → 4
-  EXPECT_EQ(recommended_far_rate(33, 32), 2);   // 33/32 = 1 → clamp low
-  // Clamp exactness at both rails.
-  EXPECT_EQ(recommended_far_rate(64, 32), 2);
-  EXPECT_EQ(recommended_far_rate(128, 2), 32);
-}
-
-TEST(Hyperparams, FarRateRejectsInvalidShapes) {
-  EXPECT_THROW((void)recommended_far_rate(16, 32), InvalidArgument);  // n < k
-  EXPECT_THROW((void)recommended_far_rate(16, 0), InvalidArgument);   // k < 1
-  EXPECT_THROW((void)recommended_far_rate(16, -4), InvalidArgument);
-}
-
 TEST(Hyperparams, BatchRecommendationBoundaries) {
   // Below the floor, at the pow2 fixpoint, and above the ceiling.
   EXPECT_EQ(recommended_batch(1), 512u);
@@ -602,17 +548,6 @@ TEST(Hyperparams, BatchRecommendationBoundaries) {
   EXPECT_EQ(recommended_batch(513), 1024u);   // next_pow2 rounding
   EXPECT_EQ(recommended_batch(32768), 32768u);
   EXPECT_EQ(recommended_batch(32769), 32768u);  // clamp high
-}
-
-TEST(Hyperparams, SelectionFitsDevice) {
-  const auto advice =
-      select_hyperparams(512, device::DeviceSpec::v100_16gb());
-  EXPECT_GT(advice.subdomain, 0);
-  const auto plan = device::plan_local_pipeline(
-      512, advice.subdomain,
-      sampling::SamplingPolicy::paper_default(advice.subdomain),
-      advice.batch);
-  EXPECT_LE(plan.actual_total(), device::DeviceSpec::v100_16gb().capacity_bytes);
 }
 
 // --- Accumulator -------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Tests for the execution planner (src/planner): the Eqn 6 volume and
 // accuracy heuristics it prices with, agreement between its per-level wire
 // predictions and executed cluster stats, the planner-vs-exhaustive oracle,
-// plan caching in the runtime ResourceCache, and the LC_PLANNER=off
-// bit-for-bit escape hatch through ConvolutionService.
+// plan caching in the runtime ResourceCache, and planning through
+// ConvolutionService (explicit params run bit-identical to a direct engine;
+// auto-plans keep each request's own template).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -236,32 +237,12 @@ TEST(Planner, PinnedModeRepairsIllegalSubdomain) {
   EXPECT_EQ(plan.params().batch, 256u);
 }
 
-TEST(Planner, ProbeModeUsesInjectedMeasurements) {
-  PlannerConfig config;
-  config.mode = Mode::kProbe;
-  config.rate_grid = {2, 4};
-  int probes = 0;
-  // Stub probe: make LARGER k dramatically cheaper than the analytic model
-  // believes, and require the probe ranking to flip the choice toward it.
-  config.probe = [&probes](const PlanRequest&, const Candidate& c) {
-    ++probes;
-    return c.params.subdomain >= 16 ? 1e-9 : 10.0;
-  };
-  const Planner planner(config);
-  const ExecutionPlan plan = planner.plan(small_request());
-  EXPECT_GT(probes, 0);
-  EXPECT_LE(probes, static_cast<int>(config.probe_top));
-  EXPECT_GE(plan.choice.params.subdomain, 16);
-  EXPECT_GT(plan.probed_seconds, 0.0);
-}
-
 TEST(Planner, EnumerationSpansCodecGridAndPricesIt) {
-  // With LC_WIRE unset the planner searches the codec dimension: the same
-  // (k, schedule, r, route) shape appears once per grid codec, lossy codecs
-  // carry their quantization term in the accuracy screen, and 2-byte codecs
-  // price at a fraction of the fp64 wire bytes.
-  ::unsetenv("LC_WIRE");
-  PlannerConfig cfg;  // codec_grid resolved here, after the unsetenv
+  // The planner searches the codec dimension: the same (k, schedule, r,
+  // route) shape appears once per grid codec, lossy codecs carry their
+  // quantization term in the accuracy screen, and 2-byte codecs price at a
+  // fraction of the fp64 wire bytes.
+  PlannerConfig cfg;
   cfg.exact_top = 0;  // keep every price closed-form → comparable pairs
   const Planner planner(cfg);
   ASSERT_EQ(planner.config().codec_grid.size(), 4u);
@@ -289,32 +270,6 @@ TEST(Planner, EnumerationSpansCodecGridAndPricesIt) {
   EXPECT_LT(q16->cost.exchange_bytes, 0.5 * off->cost.exchange_bytes);
   EXPECT_NE(q16->candidate.name().find("wire=q16"), std::string::npos);
   EXPECT_EQ(off->candidate.name().find("wire="), std::string::npos);
-}
-
-TEST(Planner, ExplicitLcWirePinsTheCodecGrid) {
-  ::setenv("LC_WIRE", "bf16", 1);
-  const auto pinned = default_codec_grid();
-  ASSERT_EQ(pinned.size(), 1u);
-  EXPECT_EQ(pinned[0], comm::WireCodec::kBf16);
-  ::unsetenv("LC_WIRE");
-  const auto open = default_codec_grid();
-  ASSERT_EQ(open.size(), 4u);
-  EXPECT_EQ(open[0], comm::WireCodec::kOff);
-}
-
-TEST(Planner, ModeFromEnvParsesAllValues) {
-  ::setenv("LC_PLANNER", "off", 1);
-  EXPECT_EQ(mode_from_env(), Mode::kOff);
-  ::setenv("LC_PLANNER", "probe", 1);
-  EXPECT_EQ(mode_from_env(), Mode::kProbe);
-  ::setenv("LC_PLANNER", "analytic", 1);
-  EXPECT_EQ(mode_from_env(), Mode::kAnalytic);
-  ::unsetenv("LC_PLANNER");
-  EXPECT_EQ(mode_from_env(), Mode::kAnalytic);
-  // Typos no longer fall back silently — they fail loudly at first read.
-  ::setenv("LC_PLANNER", "prob", 1);
-  EXPECT_THROW((void)mode_from_env(), InvalidArgument);
-  ::unsetenv("LC_PLANNER");
 }
 
 // --- Plan caching through the runtime ResourceCache ------------------------
@@ -350,62 +305,75 @@ TEST(PlanProvider, WarmLookupSkipsEnumeration) {
 
 TEST(PlanProvider, CacheKeySeparatesShapeTopologyDeviceAndPin) {
   PlanRequest req = small_request();
-  const std::string base = cache_key(req, Mode::kAnalytic);
+  const std::string base = cache_key(req);
   EXPECT_EQ(base.rfind("execplan/", 0), 0u);  // planner namespace prefix
 
   PlanRequest other = req;
   other.n = 64;
-  EXPECT_NE(cache_key(other, Mode::kAnalytic), base);
+  EXPECT_NE(cache_key(other), base);
   other = req;
   other.topology = comm::Topology::flat(8);
-  EXPECT_NE(cache_key(other, Mode::kAnalytic), base);
+  EXPECT_NE(cache_key(other), base);
   other = req;
   other.device = device::DeviceSpec::v100_16gb();
-  EXPECT_NE(cache_key(other, Mode::kAnalytic), base);
+  EXPECT_NE(cache_key(other), base);
   other = req;
   other.pinned = params_of(8, 4);
-  EXPECT_NE(cache_key(other, Mode::kAnalytic), base);
-  EXPECT_NE(cache_key(req, Mode::kProbe), base);
-  // The wire codec seeds the candidate grid, so it salts the key too —
-  // both the base codec and a pinned-params codec.
+  EXPECT_NE(cache_key(other), base);
+  // Every auto-planned candidate inherits the template's interpolation,
+  // boundary band and dense halo, so each one splits the key.
+  other = req;
+  other.base.interpolation = sampling::Interpolation::kTricubic;
+  EXPECT_NE(cache_key(other), base);
+  other = req;
+  other.base.boundary_band = req.base.boundary_band + 2;
+  EXPECT_NE(cache_key(other), base);
+  other = req;
+  other.base.dense_halo = req.base.dense_halo + 1;
+  EXPECT_NE(cache_key(other), base);
+  // The template's codec does not: every candidate takes its codec from
+  // the planner's codec grid.
   other = req;
   other.base.wire = comm::WireCodec::kQ16;
-  EXPECT_NE(cache_key(other, Mode::kAnalytic), base);
+  EXPECT_EQ(cache_key(other), base);
+  // A pinned request keeps its own codec, so that one salts the key.
   other = req;
   other.pinned = params_of(8, 4);
-  const std::string pinned_off = cache_key(other, Mode::kAnalytic);
+  const std::string pinned_off = cache_key(other);
   other.pinned->wire = comm::WireCodec::kBf16;
-  EXPECT_NE(cache_key(other, Mode::kAnalytic), pinned_off);
+  EXPECT_NE(cache_key(other), pinned_off);
 }
 
 // --- Service integration ---------------------------------------------------
 
-TEST(ServicePlanner, OffModeMatchesPlannedPinnedRunBitForBit) {
-  // LC_PLANNER=off must reproduce the pre-planner service behaviour
-  // exactly; with legal pinned params the planner changes nothing, so the
-  // two runs must agree bit for bit.
+TEST(ServicePlanner, ExplicitParamsMatchDirectEngineBitForBit) {
+  // The service resolves every request through the planner. With legal
+  // explicit params the planner changes nothing, so the response must
+  // agree bit for bit with a directly driven serial engine.
   const Grid3 g = Grid3::cube(32);
   const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
   const RealField input = random_field(g, 11);
+  const core::LowCommParams params = params_of(16, 2);
 
-  const auto run_with = [&](planner::Mode mode) {
-    runtime::ServiceConfig config;
-    config.planner_mode = mode;
-    config.pool = nullptr;
-    runtime::ConvolutionService service(config);
-    runtime::ConvolutionRequest request{input, kernel, params_of(16, 2), {}, {}};
-    return service.run(std::move(request));
-  };
+  core::LocalConvolverConfig engine_config;
+  engine_config.batch = params.batch;
+  engine_config.pool = nullptr;
+  const core::LowCommConvolution direct(g, kernel, params, engine_config);
+  const core::LowCommResult expected = direct.convolve(input);
 
-  const auto off = run_with(Mode::kOff);
-  const auto analytic = run_with(Mode::kAnalytic);
-  const auto off_span = off.result.output.span();
-  const auto on_span = analytic.result.output.span();
-  ASSERT_EQ(off_span.size(), on_span.size());
-  for (std::size_t i = 0; i < off_span.size(); ++i) {
-    ASSERT_EQ(off_span[i], on_span[i]) << "bit drift at " << i;
+  runtime::ServiceConfig config;
+  config.pool = nullptr;
+  runtime::ConvolutionService service(config);
+  const auto served = service.run(
+      runtime::ConvolutionRequest{input, kernel, params, {}, {}});
+
+  const auto want = expected.output.span();
+  const auto got = served.result.output.span();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "bit drift at " << i;
   }
-  EXPECT_EQ(off.result.exchanged_bytes, analytic.result.exchanged_bytes);
+  EXPECT_EQ(served.result.exchanged_bytes, expected.exchanged_bytes);
 }
 
 TEST(ServicePlanner, AutoPlansWhenSubdomainUnset) {
@@ -416,7 +384,6 @@ TEST(ServicePlanner, AutoPlansWhenSubdomainUnset) {
   const RealField input = random_field(g, 13);
 
   runtime::ServiceConfig config;
-  config.planner_mode = Mode::kAnalytic;
   config.pool = nullptr;
   runtime::ConvolutionService service(config);
 
@@ -431,6 +398,50 @@ TEST(ServicePlanner, AutoPlansWhenSubdomainUnset) {
   auto second = service.run(
       runtime::ConvolutionRequest{input, kernel, p, {}, {}});
   EXPECT_TRUE(second.stats.plan_cache_hit);
+}
+
+TEST(ServicePlanner, AutoPlanKeepsEachRequestsInterpolation) {
+  // Two auto-planned requests of the same shape that differ only in their
+  // interpolation: the second must not inherit the first one's plan (and
+  // with it the first one's reconstruction order). Its response must equal
+  // what a fresh service answers for it alone.
+  const Grid3 g = Grid3::cube(64);
+  const auto kernel = std::make_shared<green::GaussianSpectrum>(g, 2.0);
+  const RealField input = random_field(g, 17);
+  core::LowCommParams trilinear;
+  trilinear.subdomain = 0;  // plan for me
+  core::LowCommParams tricubic = trilinear;
+  tricubic.interpolation = sampling::Interpolation::kTricubic;
+
+  // On an unbounded device a single-rank plan takes k = N, where nothing
+  // is downsampled and both orders agree; a 12 MiB device forces a
+  // decomposed plan whose far field is interpolated. Without cached
+  // results the service peaks near 9.7 MB on it.
+  runtime::ServiceConfig config;
+  config.pool = nullptr;
+  config.device = device::DeviceSpec{"12MiB", 12u << 20};
+  config.cache_budget_bytes = 3u << 20;
+  config.cache_results = false;
+  runtime::ConvolutionService service(config);
+  const auto first = service.run(
+      runtime::ConvolutionRequest{input, kernel, trilinear, {}, {}});
+  const auto second = service.run(
+      runtime::ConvolutionRequest{input, kernel, tricubic, {}, {}});
+  EXPECT_FALSE(second.stats.plan_cache_hit);
+
+  runtime::ConvolutionService fresh(config);
+  const auto alone = fresh.run(
+      runtime::ConvolutionRequest{input, kernel, tricubic, {}, {}});
+
+  const auto want = alone.result.output.span();
+  const auto got = second.result.output.span();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "second request diverges at " << i;
+  }
+  // The two orders really give different answers on this input, so the
+  // comparison above can tell them apart.
+  EXPECT_GT(max_abs_error(first.result.output.span(), want), 0.0);
 }
 
 // --- Calibration: fitting the history back into the pricing ---------------
@@ -567,7 +578,7 @@ TEST(PlannerCalibration, EnvCalibrationRescalesPlansAndSaltsCacheKeys) {
   ::unsetenv("LC_CALIBRATION");
   reload_calibration();
   const ExecutionPlan before = planner.plan(req);
-  const std::string key_before = cache_key(req, Mode::kAnalytic);
+  const std::string key_before = cache_key(req);
   EXPECT_NE(key_before.find("/cal=-"), std::string::npos);
 
   Calibration cal;
@@ -587,14 +598,14 @@ TEST(PlannerCalibration, EnvCalibrationRescalesPlansAndSaltsCacheKeys) {
   EXPECT_EQ(after.params().subdomain, before.params().subdomain);
   EXPECT_NEAR(after.cost.compute_seconds, 0.5 * before.cost.compute_seconds,
               1e-12 * before.cost.compute_seconds);
-  const std::string key_after = cache_key(req, Mode::kAnalytic);
+  const std::string key_after = cache_key(req);
   EXPECT_NE(key_after, key_before);
   EXPECT_NE(key_after.find("/cal=s2:"), std::string::npos);
 
   ::unsetenv("LC_CALIBRATION");
   reload_calibration();
   std::remove(path.c_str());
-  EXPECT_EQ(cache_key(req, Mode::kAnalytic), key_before);
+  EXPECT_EQ(cache_key(req), key_before);
 }
 
 }  // namespace

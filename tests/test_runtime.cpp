@@ -332,29 +332,6 @@ TEST(ConvolutionService, EngineCacheHitWithoutResultCache) {
   EXPECT_EQ(service.stats().result_hits, 0u);
 }
 
-TEST(ConvolutionService, HermitianKernelCachesHalfSpectrum) {
-  const Grid3 g = Grid3::cube(32);
-
-  // The materialised engine runs on the cached half-grid DenseSpectrum; the
-  // default engine evaluates the closed form per bin. Same convolution.
-  ServiceConfig cfg;
-  cfg.materialize_spectra = true;
-  ConvolutionService materialized_service(cfg);
-  const ConvolutionResponse materialized =
-      materialized_service.run(small_request(g));
-  ConvolutionService on_the_fly_service;
-  const ConvolutionResponse on_the_fly =
-      on_the_fly_service.run(small_request(g));
-
-  ASSERT_EQ(materialized.result.output.size(),
-            on_the_fly.result.output.size());
-  for (std::size_t i = 0; i < materialized.result.output.size(); ++i) {
-    ASSERT_NEAR(materialized.result.output[i], on_the_fly.result.output[i],
-                1e-9)
-        << i;
-  }
-}
-
 TEST(ConvolutionService, SubdomainScopedRequestReturnsTile) {
   const Grid3 g = Grid3::cube(32);
   auto req = small_request(g);

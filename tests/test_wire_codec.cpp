@@ -1,4 +1,4 @@
-// Wire codec tests (DESIGN.md §17): spelling/env parsing, per-codec
+// Wire codec tests (DESIGN.md §17): spelling parsing, per-codec
 // round-trip error bounds against the analytic models, bit-exactness of the
 // off codec's framing, SIMD-vs-scalar bit equality of the conversion rows,
 // and the header-free framing contract (finish() checks on both ends).
@@ -13,9 +13,7 @@
 #include "comm/wire_codec.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/runtime_flags.hpp"
 #include "common/simd.hpp"
-#include "core/pipeline.hpp"
 #include "sampling/compressed_field.hpp"
 #include "sampling/octree.hpp"
 
@@ -72,20 +70,6 @@ TEST(WireCodec, SpellingsRoundTripAndBadValueThrows) {
   }
 }
 
-TEST(WireCodec, EnvSelectsCodecAndRejectsTypos) {
-  ASSERT_EQ(unsetenv("LC_WIRE"), 0);
-  EXPECT_EQ(wire_codec_from_env(), WireCodec::kOff);
-  for (const WireCodec codec : kAllWireCodecs) {
-    ASSERT_EQ(setenv("LC_WIRE", codec_name(codec), 1), 0);
-    EXPECT_EQ(wire_codec_from_env(), codec);
-    // LowCommParams reads the env at construction.
-    EXPECT_EQ(core::LowCommParams{}.wire, codec);
-  }
-  ASSERT_EQ(setenv("LC_WIRE", "Q16", 1), 0);  // spellings are lower-case
-  EXPECT_THROW((void)wire_codec_from_env(), InvalidArgument);
-  ASSERT_EQ(unsetenv("LC_WIRE"), 0);
-}
-
 TEST(WireCodec, SizeArithmetic) {
   EXPECT_EQ(codec_sample_bytes(WireCodec::kOff), 8u);
   EXPECT_EQ(codec_sample_bytes(WireCodec::kFp32), 4u);
@@ -103,8 +87,8 @@ TEST(WireCodec, SizeArithmetic) {
 
 TEST(WireCodec, OffIsBitExactPassthrough) {
   // The off codec's wire buffer must be byte-identical to the raw samples —
-  // the structural guarantee that LC_WIRE=off reproduces the pre-codec wire
-  // format bit for bit.
+  // the structural guarantee that the off codec reproduces the pre-codec
+  // wire format bit for bit.
   const auto cell_a = random_samples(125, 1);
   const auto cell_b = random_samples(27, 2);
   std::vector<double> wire;
@@ -343,24 +327,6 @@ TEST(WireCodec, CompressedFieldEncodedBytesMatchEncoder) {
     EXPECT_EQ(enc.finish(), field.encoded_sample_bytes(codec))
         << "codec " << codec_name(codec);
   }
-}
-
-TEST(RuntimeFlags, EnvChoiceNamesVariableAndValueOnError) {
-  ASSERT_EQ(setenv("LC_TEST_CHOICE", "bogus", 1), 0);
-  try {
-    (void)env_choice("LC_TEST_CHOICE", 0, {"alpha", "beta"});
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("LC_TEST_CHOICE"), std::string::npos);
-    EXPECT_NE(msg.find("bogus"), std::string::npos);
-    EXPECT_NE(msg.find("alpha"), std::string::npos);
-    EXPECT_NE(msg.find("beta"), std::string::npos);
-  }
-  ASSERT_EQ(setenv("LC_TEST_CHOICE", "beta", 1), 0);
-  EXPECT_EQ(env_choice("LC_TEST_CHOICE", 0, {"alpha", "beta"}), 1u);
-  ASSERT_EQ(unsetenv("LC_TEST_CHOICE"), 0);
-  EXPECT_EQ(env_choice("LC_TEST_CHOICE", 1, {"alpha", "beta"}), 1u);
 }
 
 }  // namespace
